@@ -1,7 +1,8 @@
 """Restricted-weight data, zero Lyapunov exponent predictions, and
 random-cocycle verification for the pseudo-Hermitian classical groups."""
 
-from .errors import NumericalError, ParameterError, UnsupportedFeatureError
+from .errors import (InternalError, NumericalError, ParameterError,
+                     UnsupportedFeatureError)
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          evaluate_spectrum_grouped, hodge_admissible, predict,
                          predicted_zero_count, realified_weights,

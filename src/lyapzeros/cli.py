@@ -1,8 +1,9 @@
 """Command-line front end: predictions, classification tables, simulation
 runs, and verification reports.
 
-Exit codes: 0 success / match, 2 usage error, 3 incoherent or unsupported
-pair, 4 verification mismatch, 5 inconclusive verdict.
+Exit codes: 0 success / match, 1 internal or numerical error, 2 usage
+error, 3 incoherent or unsupported pair, 4 verification mismatch, 5
+inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import os
 import sys
 import time
 
-from .errors import NumericalError, ParameterError, UnsupportedFeatureError
+from .errors import (InternalError, NumericalError, ParameterError,
+                     UnsupportedFeatureError)
 from .prediction import predict
 from .realforms import RealFormSpec, so_split, so_star, sp, su
 from .simulate import (SimConfig, exterior_consistency_check, lyapunov_spectrum,
@@ -25,6 +27,7 @@ SCHEMA_VERSION = 1
 SEED_ENV_VAR = "LYAPZEROS_SEED"
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_INCOHERENT = 3
 EXIT_MISMATCH = 4
@@ -177,7 +180,9 @@ def _admissible_rows(max_dim: int) -> list[dict]:
     rows = []
     for form, rep in pairs:
         pred = predict(form, rep)
-        assert pred.hodge_admissible, (form.label(), rep.label())
+        if not pred.hodge_admissible:
+            raise InternalError(f"classify listed the inadmissible pair "
+                                f"{form.label()} {rep.label()}")
         if pred.real_dim > max_dim:
             continue
         rows.append({
@@ -314,7 +319,10 @@ def main(argv=None, out=None) -> int:
         return EXIT_INCOHERENT
     except NumericalError as exc:
         print(f"numerical error: {exc} {exc.diagnostics}", file=sys.stderr)
-        return 1
+        return EXIT_ERROR
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def run() -> None:

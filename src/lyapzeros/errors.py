@@ -9,6 +9,11 @@ class UnsupportedFeatureError(RuntimeError):
     """Requested operation is deliberately outside the supported surface."""
 
 
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a defect in lyapzeros, not in
+    the input."""
+
+
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or overflowed.
 

@@ -10,9 +10,8 @@ and so(m,2)). Every serialized field is tagged accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import ParameterError, UnsupportedFeatureError
+from .errors import InternalError, ParameterError, UnsupportedFeatureError
 from .realforms import Family, RealFormSpec, weights_restricted
 from .weights import (Basis, RepKind, RepSpec, Weight, WeightMultiset,
                       binomial)
@@ -126,14 +125,7 @@ def _zero_count_closed_form(form: RealFormSpec, rep: RepSpec) -> int | None:
 def predicted_zero_count(form: RealFormSpec, rep: RepSpec) -> int:
     """Number of zero Lyapunov exponents forced by the restricted weights,
     as a real count."""
-    ms = weights_restricted(form, rep)
-    zero_complex = ms.zero_multiplicity()
-    closed = _zero_count_closed_form(form, rep)
-    if closed is not None and closed != zero_complex:
-        raise ParameterError(
-            f"internal inconsistency: closed form {closed} != enumerated {zero_complex} "
-            f"for {form.label()} {rep.label()}")
-    return zero_complex * form.real_factor
+    return predict(form, rep).zero_count_real
 
 
 def su_p1_exterior_signature(p: int, k: int) -> tuple[int, int]:
@@ -164,25 +156,10 @@ def su_zero_weight_parity_counts(p: int, q: int, k: int) -> tuple[int, int]:
     """
     if p < q or q < 1 or not 1 <= k <= p + q:
         raise ParameterError("need p >= q >= 1 and 1 <= k <= p+q")
-    n = p + q
-    even = odd = 0
-    for subset in combinations(range(1, n + 1), k):
-        chosen = set(subset)
-        pairs = 0
-        cancelled = True
-        for i in range(1, q + 1):
-            lo, hi = i in chosen, (n + 1 - i) in chosen
-            if lo != hi:
-                cancelled = False
-                break
-            if lo:
-                pairs += 1
-        if cancelled:
-            if pairs % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-    return even, odd
+    # a zero subset takes a whole canceling pairs and k - 2a of the p - q
+    # indices that restrict to 0
+    counts = [binomial(q, a) * binomial(p - q, k - 2 * a) for a in range(q + 1)]
+    return sum(counts[0::2]), sum(counts[1::2])
 
 
 def sigma_rank_bound(form: RealFormSpec, rep: RepSpec) -> int:
@@ -304,7 +281,10 @@ def predict(form: RealFormSpec, rep: RepSpec) -> SpectrumPrediction:
     factor = form.real_factor
     real_dim = ms.total() * factor
     zero_complex = ms.zero_multiplicity()
-    zero_real = predicted_zero_count(form, rep)
+    closed = _zero_count_closed_form(form, rep)
+    if closed is not None and closed != zero_complex:
+        raise InternalError(f"closed form {closed} != computed {zero_complex} zero "
+                            f"weights for {form.label()} {rep.label()}")
     nonzero = tuple((w, m * factor) for w, m in ms.items() if not w.is_zero())
 
     signature = None
@@ -317,15 +297,17 @@ def predict(form: RealFormSpec, rep: RepSpec) -> SpectrumPrediction:
         split = (2 * even, 2 * odd)
         if form.q == 1:
             if signature != su_p1_exterior_signature(form.p, k):
-                raise ParameterError("internal inconsistency: signature closed form")
+                raise InternalError(f"signature {signature} disagrees with its closed form "
+                                    f"for {form.label()} {rep.label()}")
             if split != su_p1_zero_block_split(form.p, k):
-                raise ParameterError("internal inconsistency: zero block closed form")
+                raise InternalError(f"zero block split {split} disagrees with its closed "
+                                    f"form for {form.label()} {rep.label()}")
 
     per_block, total = _sigma_ranks(form, rep)
     admissible, reason = hodge_admissible(form, rep)
     return SpectrumPrediction(
         form=form, rep=rep, real_dim=real_dim,
-        zero_count_real=zero_real, zero_count_complex=zero_complex,
+        zero_count_real=zero_complex * factor, zero_count_complex=zero_complex,
         nonzero_structure=nonzero, signature=signature, definite_split=split,
         sigma_rank_bound=per_block, sigma_rank_total=total,
         hodge_admissible=admissible, hodge_reason=reason)

@@ -28,7 +28,7 @@ import numpy as np
 from ._expm import expm_batch
 from .errors import NumericalError, ParameterError
 from .weights import (Basis, RepKind, RepSpec, RootSystemSpec, Weight,
-                      WeightMultiset, weights_exterior, weights_of)
+                      WeightMultiset, exterior_power, weights_of)
 
 _RELATION_TOL = 1e-12
 
@@ -39,6 +39,10 @@ class Family(Enum):
     SO_EVEN = "so-even"      # so(2n-2, 2), type D_n
     SO_STAR = "so-star"      # so*(2n), type D_n
     SP = "sp"                # sp(2g, R), type C_g
+
+
+_SERIES = {Family.SU: "A", Family.SO_ODD: "B", Family.SO_EVEN: "D",
+           Family.SO_STAR: "D", Family.SP: "C"}
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,7 @@ class RealFormSpec:
 
     @property
     def series(self) -> str:
-        return {Family.SU: "A", Family.SO_ODD: "B", Family.SO_EVEN: "D",
-                Family.SO_STAR: "D", Family.SP: "C"}[self.family]
+        return _SERIES[self.family]
 
     @property
     def ambient_dim(self) -> int:
@@ -219,7 +222,8 @@ class RestrictionMap:
     def apply(self, w: Weight) -> Weight:
         if w.basis is not Basis.ABSOLUTE or w.rank != self.ambient_dim:
             raise ParameterError("restriction map expects absolute weights of matching rank")
-        doubled = tuple(sum(r * c for r, c in zip(row, w.doubled)) for row in self.rows)
+        support = [(i, c) for i, c in enumerate(w.doubled) if c]
+        doubled = tuple(sum(row[i] * c for i, c in support) for row in self.rows)
         return Weight(doubled, Basis.RESTRICTED)
 
     def apply_multiset(self, ms: WeightMultiset) -> WeightMultiset:
@@ -265,41 +269,31 @@ def _check_coherent(form: RealFormSpec, rep: RepSpec) -> None:
 
 
 def _absolute_weights(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
-    if form.family is Family.SO_STAR:
-        # type D standard weights built directly; valid for every n >= 2
+    if form.family is Family.SO_STAR and rep.kind is RepKind.STANDARD:
+        # type D standard weights built directly: so*(4) is D_2, which has
+        # no RootSystemSpec
         n = form.n
-        ws = [Weight.unit(n, i) for i in range(n)]
-        ws += [Weight.unit(n, i, sign=-1) for i in range(n)]
-        base = WeightMultiset(ws)
-        if rep.kind is RepKind.STANDARD:
-            return base
-        if rep.kind is RepKind.EXTERIOR:
-            return weights_exterior(base, rep.degree)
-        return weights_of(form.root_system, rep)   # half-spins need n >= 3
+        return WeightMultiset([Weight.unit(n, i, sign=s) for s in (1, -1) for i in range(n)])
     return weights_of(form.root_system, rep)
 
 
 def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     """Restricted weight multiset of (form, rep), with complex multiplicities.
 
-    For so*(2n) in the standard representation the multiset is produced
-    directly from the split torus (whose 2x2 blocks have eigenvalues +-1):
-    +-f_i with complex multiplicity 2 each, plus 0 with complex
-    multiplicity 2 when n is odd. Reported real counts are twice these.
-    All other pairs push the absolute weights through restriction_map.
+    Restriction to the split torus is linear, so an exterior power is the
+    exterior power of the restricted standard weights (each e_i goes to
+    +-f_j or 0); its cost is polynomial in the standard dimension and the
+    degree, times the number of distinct restricted weights. Spin weights
+    are pushed through restriction_map one by one. For so*(2n) the standard
+    weights restrict to +-f_i with complex multiplicity 2 each, plus 0 with
+    multiplicity 2 when n is odd; reported real counts are twice these.
     """
     _check_coherent(form, rep)
-    if form.family is Family.SO_STAR and rep.kind is RepKind.STANDARD:
-        m = form.restricted_rank
-        acc: dict[Weight, int] = {}
-        for j in range(m):
-            acc[Weight.unit(m, j, Basis.RESTRICTED)] = 2
-            acc[Weight.unit(m, j, Basis.RESTRICTED, sign=-1)] = 2
-        if form.n % 2 == 1:
-            acc[Weight.zero(m, Basis.RESTRICTED)] = 2
-        return WeightMultiset(acc)
-    ms = _absolute_weights(form, rep)
-    return restriction_map(form).apply_multiset(ms)
+    rmap = restriction_map(form)
+    if rep.kind is RepKind.EXTERIOR:
+        standard = rmap.apply_multiset(_absolute_weights(form, RepSpec.standard()))
+        return exterior_power(standard, rep.degree)
+    return rmap.apply_multiset(_absolute_weights(form, rep))
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,34 @@ def weights_standard(rs: RootSystemSpec) -> WeightMultiset:
     return WeightMultiset(ws)
 
 
+def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
+    """Weights of the k-th exterior power of a representation with weights
+    ``base``: the coefficient of t^k in prod_w (1 + t x^w), where a weight
+    of multiplicity m contributes sum_b C(m, b) t^b x^(b w) (Fulton-Harris
+    section 15). No subset is enumerated."""
+    n = base.total()
+    if not 1 <= k <= n:
+        raise ParameterError(f"exterior degree {k} out of range 1..{n}")
+    # by_degree[j]: doubled coordinates of a j-fold sum -> its multiplicity
+    by_degree: list[dict[tuple[int, ...], int]] = [{(0,) * base.rank: 1}]
+    by_degree += [{} for _ in range(k)]
+    remaining = n
+    for w, m in base.items():
+        remaining -= m
+        step = [{} for _ in by_degree]
+        for j, sums in enumerate(by_degree):
+            # skip the j + b that the remaining weights can no longer lift to k
+            for b in range(max(0, k - remaining - j), min(m, k - j) + 1):
+                coeff = math.comb(m, b)
+                shift = tuple(b * c for c in w.doubled)
+                target = step[j + b]
+                for v, count in sums.items():
+                    key = tuple(a + s for a, s in zip(v, shift))
+                    target[key] = target.get(key, 0) + coeff * count
+        by_degree = step
+    return WeightMultiset({Weight(v, base.basis): c for v, c in by_degree[k].items()})
+
+
 def weights_exterior(base: WeightMultiset, k: int) -> WeightMultiset:
     """Weights of the k-th exterior power: sums over k-element subsets.
 
@@ -337,17 +365,7 @@ def weights_exterior(base: WeightMultiset, k: int) -> WeightMultiset:
     """
     if base.total() != base.distinct():
         raise ParameterError("exterior power base must have all multiplicities 1")
-    n = base.total()
-    if not 1 <= k <= n:
-        raise ParameterError(f"exterior degree {k} out of range 1..{n}")
-    flat = base.expand()
-    acc: dict[Weight, int] = {}
-    for subset in combinations(range(n), k):
-        w = flat[subset[0]]
-        for i in subset[1:]:
-            w = w + flat[i]
-        acc[w] = acc.get(w, 0) + 1
-    return WeightMultiset(acc)
+    return exterior_power(base, k)
 
 
 def weights_spin(rs: RootSystemSpec, which: RepSpec) -> WeightMultiset:

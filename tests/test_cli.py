@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lyapzeros import cli
+from lyapzeros import cli, prediction
 
 
 def run_cli(argv):
@@ -62,6 +62,24 @@ class TestPredict:
         with pytest.raises(SystemExit) as exc:
             run_cli(["predict", "--group", "unknown"])
         assert exc.value.code == 2
+
+
+SU31_EXT2 = ["predict", "--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2"]
+
+
+@pytest.mark.parametrize("name,broken,argv", [
+    ("su_exterior_zero_multiplicity", lambda p, q, k: 99, SU31_EXT2),
+    ("su_p1_exterior_signature", lambda p, k: (0, 0), SU31_EXT2),
+    ("hodge_admissible", lambda form, rep: (False, "broken"), ["classify", "--max-dim", "4"]),
+])
+def test_failed_internal_check_exits_1(monkeypatch, capsys, name, broken, argv):
+    # a closed form that disagrees with the computed weights is a defect in
+    # the library, not an incoherent input (exit 3)
+    monkeypatch.setattr(prediction, name, broken)
+    code, text = run_cli(argv)
+    assert code == cli.EXIT_ERROR == 1
+    assert text == ""
+    assert "internal error" in capsys.readouterr().err
 
 
 class TestClassify:

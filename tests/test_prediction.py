@@ -31,6 +31,24 @@ def brute_force_zero_count(p, q, k):
     return zero
 
 
+def brute_force_parity_counts(p, q, k):
+    """Independent oracle: zero-restricted k-subsets of e_1..e_{p+q}, split
+    by the parity of the number of canceling pairs {i, p+q+1-i}, i <= q,
+    that they contain whole."""
+    n = p + q
+    even = odd = 0
+    for subset in combinations(range(1, n + 1), k):
+        chosen = set(subset)
+        if any((i in chosen) != (n + 1 - i in chosen) for i in range(1, q + 1)):
+            continue
+        pairs = sum(1 for i in range(1, q + 1) if i in chosen)
+        if pairs % 2 == 0:
+            even += 1
+        else:
+            odd += 1
+    return even, odd
+
+
 class TestZeroCounts:
     def test_su_standard(self):
         assert predicted_zero_count(su(3, 1), RepSpec.standard()) == 4
@@ -86,6 +104,13 @@ class TestSignatureAndSplit:
                 assert (2 * even, 2 * odd) == (
                     su_p1_zero_block_split(p, k)[0], su_p1_zero_block_split(p, k)[1])
 
+    def test_parity_closed_form_equals_enumeration(self):
+        for p in range(1, 8):
+            for q in range(1, p + 1):
+                for k in range(1, p + q + 1):
+                    assert su_zero_weight_parity_counts(p, q, k) == \
+                        brute_force_parity_counts(p, q, k), (p, q, k)
+
     def test_signature_bookkeeping(self):
         for p in range(1, 9):
             for k in range(1, p + 2):
@@ -119,6 +144,12 @@ class TestDimensionBookkeeping:
                 for k in range(1, p + q + 1):
                     pred = predict(su(p, q), RepSpec.exterior(k))
                     assert pred.real_dim == 2 * binomial(p + q, k)
+
+    def test_large_exterior_power_needs_no_enumeration(self):
+        # 2.2e9 subsets: only a method polynomial in p+q and k returns at all
+        pred = predict(su(32, 2), RepSpec.exterior(16))
+        assert pred.zero_count_real == 2 * su_exterior_zero_multiplicity(32, 2, 16)
+        assert pred.real_dim == 2 * binomial(34, 16)
 
     def test_su_p1_nonzero_real_count(self):
         for p in range(1, 9):

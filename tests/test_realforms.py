@@ -1,4 +1,7 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import add
 
 import numpy as np
 import pytest
@@ -94,9 +97,6 @@ class TestRestrictionMap:
     def test_commutes_with_negation(self):
         for form in ALL_FORMS:
             r = restriction_map(form)
-            ms = weights_restricted(form, RepSpec.standard())
-            if form.family is Family.SO_STAR:
-                continue   # standard multiset is built directly from the torus
             base = lz.realforms._absolute_weights(form, RepSpec.standard())
             assert r.apply_multiset(base.negated()) == r.apply_multiset(base).negated()
 
@@ -105,6 +105,44 @@ class TestRestrictionMap:
         w = Weight.from_coords([Fraction(1, 2)] * 3)
         img = r.apply(w)
         assert img == Weight.from_coords([Fraction(1, 2), Fraction(1, 2)], Basis.RESTRICTED)
+
+
+def restricted_by_enumeration(form, rep):
+    """Reference: restrict the absolute weights of (form, rep). Exterior
+    powers are summed over every k-subset of the standard weights."""
+    if rep.kind is not lz.RepKind.EXTERIOR:
+        absolute = lz.realforms._absolute_weights(form, rep)
+    else:
+        standard = lz.realforms._absolute_weights(form, RepSpec.standard()).expand()
+        absolute = WeightMultiset([reduce(add, subset)
+                                   for subset in combinations(standard, rep.degree)])
+    return restriction_map(form).apply_multiset(absolute)
+
+
+def _exterior_pairs(forms):
+    return [(form, RepSpec.exterior(k)) for form in forms
+            for k in range(1, form.matrix_dim + 1)]
+
+
+ORACLE_GRIDS = {
+    "su": _exterior_pairs([su(p, q) for p in range(1, 9) for q in range(1, p + 1)
+                           if p + q <= 9]),
+    "so-star": _exterior_pairs([so_star(n) for n in range(2, 8)]),
+    "sp": _exterior_pairs([sp(g) for g in range(1, 6)]),
+    "so-odd": [(so_split(2 * n - 1), rep) for n in range(2, 9)
+               for rep in (RepSpec.standard(), RepSpec.spin())]
+              + _exterior_pairs([so_split(3), so_split(5), so_split(7)]),
+    "so-even": [(so_split(2 * n - 2), rep) for n in range(3, 9)
+                for rep in (RepSpec.standard(), RepSpec.half_spin("+"), RepSpec.half_spin("-"))]
+               + _exterior_pairs([so_split(4), so_split(6), so_split(8)]),
+}
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_restricted_first_equals_restricting_absolute_weights(grid):
+    for form, rep in ORACLE_GRIDS[grid]:
+        assert weights_restricted(form, rep) == restricted_by_enumeration(form, rep), \
+            (form.label(), rep.label())
 
 
 class TestWeightsRestricted:

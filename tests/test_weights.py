@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,13 @@ class TestExteriorWeights:
         for k in (0, 4):
             with pytest.raises(ParameterError):
                 weights_exterior(base, k)
+
+    @pytest.mark.parametrize("series,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+    def test_equals_subset_enumeration(self, series, rank):
+        base = weights_standard(RootSystemSpec(series, rank))
+        for k in range(1, base.total() + 1):
+            sums = [reduce(add, subset) for subset in combinations(base.expand(), k)]
+            assert weights_exterior(base, k) == WeightMultiset(sums), k
 
     def test_requires_multiplicity_free_base(self):
         ms = WeightMultiset({W(1, 0): 2})
