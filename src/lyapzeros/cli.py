@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -90,9 +91,27 @@ def _record(command: str, inputs: dict, payload: dict, provenance: dict) -> dict
             "inputs": inputs, "payload": payload, "provenance": provenance}
 
 
+def _finite(value, path: str, non_finite: list[str]):
+    """``value`` with every non-finite float replaced by None; the dotted
+    paths of the replaced entries are appended to ``non_finite``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.append(path)
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{path}.{k}" if path else str(k), non_finite)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v, f"{path}[{i}]", non_finite) for i, v in enumerate(value)]
+    return value
+
+
 def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(record, out, indent=2)
+        non_finite: list[str] = []
+        record = _finite(record, "", non_finite)
+        if non_finite:
+            record["non_finite_fields"] = non_finite
+        json.dump(record, out, indent=2, allow_nan=False)
         out.write("\n")
         return
     _emit_text(record, out)

@@ -19,6 +19,8 @@ sp(2g,R)     real 2g x 2g with the symplectic form [[0, I], [-I, 0]].
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -28,9 +30,13 @@ import numpy as np
 from ._expm import expm_batch
 from .errors import NumericalError, ParameterError
 from .weights import (Basis, RepKind, RepSpec, RootSystemSpec, Weight,
-                      WeightMultiset, exterior_power, weights_of)
+                      WeightMultiset, exterior_power, exterior_power_bound,
+                      weights_of)
 
 _RELATION_TOL = 1e-12
+# distinct restricted exterior-power weights above which weights_restricted
+# warns (su(40,8) ext:20 has at most 3^8 = 6,561 and takes about 0.25 s)
+EXTERIOR_WEIGHT_LIMIT = 100_000
 
 
 class Family(Enum):
@@ -283,7 +289,9 @@ def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     Restriction to the split torus is linear, so an exterior power is the
     exterior power of the restricted standard weights (each e_i goes to
     +-f_j or 0); its cost is polynomial in the standard dimension and the
-    degree, times the number of distinct restricted weights. Spin weights
+    degree, times the number of distinct restricted weights; a RuntimeWarning
+    is issued first when exterior_power_bound puts that number above
+    EXTERIOR_WEIGHT_LIMIT. Spin weights
     are pushed through restriction_map one by one. For so*(2n) the standard
     weights restrict to +-f_i with complex multiplicity 2 each, plus 0 with
     multiplicity 2 when n is odd; reported real counts are twice these.
@@ -292,6 +300,12 @@ def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     rmap = restriction_map(form)
     if rep.kind is RepKind.EXTERIOR:
         standard = rmap.apply_multiset(_absolute_weights(form, RepSpec.standard()))
+        bound = exterior_power_bound(standard, rep.degree)
+        if bound > EXTERIOR_WEIGHT_LIMIT:
+            warnings.warn(
+                f"{form.label()} {rep.label()} may have up to {bound:,} distinct "
+                f"restricted weights (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
+                "time and memory grow with that number", RuntimeWarning, stacklevel=2)
         return exterior_power(standard, rep.degree)
     return rmap.apply_multiset(_absolute_weights(form, rep))
 
@@ -507,33 +521,50 @@ def form_preservation_errors(sampler: GroupSampler, g: np.ndarray) -> dict[str, 
     gt = np.swapaxes(g, -1, -2)
     for name, F in sampler.invariant_forms().items():
         left = np.conj(gt) if name == "hermitian" else gt
-        err = np.abs(left @ F @ g - F).max(axis=(-1, -2))
-        out[name] = float(np.max(err) / np.abs(F).max())
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow reads as inf
+            err = np.abs(left @ F @ g - F).max()
+        out[name] = float(err / np.abs(F).max())
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _laplace_tables(d: int, r: int):
+    """Index tables expanding every r x r minor of a d x d matrix along its
+    first row: for row subset a and column subset b (both in k_subsets
+    order), det M[a, b] = sum_t (-1)^t M[first[a], cols[t][b]] *
+    det M[rest[a], rest_cols[t][b]], the smaller minors indexed in the
+    (r-1)-subset order."""
+    lower = {s: i for i, s in enumerate(combinations(range(d), r - 1))}
+    subs = list(combinations(range(d), r))
+    first = np.array([s[0] for s in subs])[:, None]
+    rest = np.array([lower[s[1:]] for s in subs])[:, None]
+    cols = np.array([[s[t] for s in subs] for t in range(r)])[:, None, :]
+    rest_cols = np.array([[lower[s[:t] + s[t + 1:]] for s in subs]
+                          for t in range(r)])[:, None, :]
+    return first, rest, cols, rest_cols
 
 
 def exterior_power_matrix(M: np.ndarray, k: int) -> np.ndarray:
     """k-th compound matrix: entries are k x k minors indexed by k_subsets.
 
     Functorial: the compound of a product is the product of compounds.
-    Accepts a single matrix or a batch (..., d, d).
+    Accepts a single matrix or a batch (..., d, d). The r x r minors are
+    built from the (r-1) x (r-1) ones by Laplace expansion along the first
+    row, for r = 2..k.
     """
     M = np.asarray(M)
     d = M.shape[-1]
     if not 1 <= k <= d:
         raise ParameterError(f"compound degree {k} out of range 1..{d}")
-    if k == 1:
-        return M.copy()
-    subs = list(combinations(range(d), k))
-    C = len(subs)
-    out = np.empty(M.shape[:-2] + (C, C), dtype=M.dtype)
-    for a, rows in enumerate(subs):
-        Mr = M[..., rows, :]
-        for b, cols in enumerate(subs):
-            sub = Mr[..., :, cols]
-            if k == 2:
-                out[..., a, b] = (sub[..., 0, 0] * sub[..., 1, 1]
-                                  - sub[..., 0, 1] * sub[..., 1, 0])
+    minors = M.copy()
+    for r in range(2, k + 1):
+        first, rest, cols, rest_cols = _laplace_tables(d, r)
+        nxt = M[..., first, cols[0]] * minors[..., rest, rest_cols[0]]
+        for t in range(1, r):
+            term = M[..., first, cols[t]] * minors[..., rest, rest_cols[t]]
+            if t % 2:
+                nxt -= term
             else:
-                out[..., a, b] = np.linalg.det(sub)
-    return out
+                nxt += term
+        minors = nxt
+    return minors

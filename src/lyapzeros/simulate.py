@@ -7,7 +7,12 @@ gaussian coefficients. Exponents are estimated per trial by the QR
 ``renorm_interval`` steps and re-orthonormalized, accumulating
 log |diag R|. Trials use independent, reproducible streams derived from
 (master_seed, trial index) via numpy's SeedSequence, so identical
-configurations give bit-identical results.
+configurations give bit-identical results. The trials advance in lockstep,
+one stacked QR per block over all trials, without mixing their arithmetic.
+
+Every sampled element has |det| = 1, so each trial's exponents must sum to
+0 (the trace sum rule). A run whose sum exceeds ``_SUM_RULE_TOL`` in any
+trial has lost precision and raises NumericalError instead of returning.
 """
 
 from __future__ import annotations
@@ -17,16 +22,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._expm import expm_batch
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          realified_weights)
 from .realforms import (Family, GroupSampler, RealFormSpec,
-                        exterior_power_matrix, lie_algebra_basis,
+                        exterior_power_matrix, form_preservation_errors,
+                        lie_algebra_basis, sample_group_elements,
                         weights_restricted)
 from .weights import RepKind, RepSpec, Weight, k_subsets
 
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
+# largest |sum of a trial's exponents| accepted. At the default scale and
+# renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
+# the acceptance pairs; SL(2,R) at scale 2, which lost precision, gave 0.05.
+_SUM_RULE_TOL = 1e-4
+_SLAB = 32               # renorm blocks per compound-matrix batch
 
 _SPIN_MESSAGE = "unsupported: spin representations are weight-combinatorics only"
 
@@ -213,65 +223,76 @@ def _fold_blocks(G: np.ndarray, interval: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _form_errors_batch(sampler: GroupSampler, G: np.ndarray) -> float:
-    worst = 0.0
-    gt = np.swapaxes(G, -1, -2)
-    for name, F in sampler.invariant_forms().items():
-        left = np.conj(gt) if name == "hermitian" else gt
-        err = np.abs(left @ F @ G - F).max()
-        worst = max(worst, float(err) / float(np.abs(F).max()))
-    return worst
+def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:
+    return max(form_preservation_errors(sampler, g).values(), default=0.0)
 
 
-def _run_trial(sampler: GroupSampler, ext_k: int | None, steps: int, warmup: int,
-               interval: int, rng: np.random.Generator, track_standard: bool):
-    d = sampler.matrix_dim
-    nb = sampler.basis.shape[0]
+def _accumulate(acc: np.ndarray, R: np.ndarray, what: str) -> None:
+    logd = np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
+    if not np.isfinite(logd).all():
+        raise _CocycleOverflow(f"degenerate QR factor ({what})")
+    acc += logd
+
+
+def _run_lockstep(sampler: GroupSampler, ext_k: int | None, steps: int, warmup: int,
+                  interval: int, rngs: list[np.random.Generator], track_standard: bool):
+    """QR scheme for all trials at once, trial j drawing from ``rngs[j]``.
+
+    Each chunk, every trial samples and folds its own blocks; the blocks of
+    all trials are then multiplied into the stacked frames (trials, D, D)
+    with one stacked QR per block, so trial j's result does not depend on
+    the other trials. Compound matrices are built a slab of blocks at a
+    time to bound memory.
+    """
+    trials, d = len(rngs), sampler.matrix_dim
+    D = d if ext_k is None else len(k_subsets(d, ext_k))
     dtype = sampler.basis.dtype
-    if ext_k is None:
-        D = d
-    else:
-        D = len(k_subsets(d, ext_k))
-    Q = np.eye(D, dtype=dtype)
-    acc = np.zeros(D)
-    Qs = np.eye(d, dtype=dtype) if track_standard else None
-    accs = np.zeros(d) if track_standard else None
+    Q = np.broadcast_to(np.eye(D, dtype=dtype), (trials, D, D))
+    acc = np.zeros((trials, D))
+    Qs = np.broadcast_to(np.eye(d, dtype=dtype), (trials, d, d))
+    accs = np.zeros((trials, d))
     max_sample_err = 0.0
     max_block_err = 0.0
-    window = steps - warmup
     seen = 0   # steps consumed so far; accumulation starts after warmup
 
     for lo, hi in _block_bounds(steps, interval, _CHUNK_TARGET):
-        m = hi - lo
-        coeffs = rng.standard_normal((m, nb)) * sampler.scale
-        X = np.tensordot(coeffs, sampler.basis, axes=(1, 0))
-        G = expm_batch(X)
-        if not np.isfinite(G).all():
-            raise _CocycleOverflow("matrix exponential overflow")
-        max_sample_err = max(max_sample_err, _form_errors_batch(sampler, G))
-        B = _fold_blocks(G, interval)
-        if not np.isfinite(B).all():
-            raise _CocycleOverflow("block product overflow")
-        max_block_err = max(max_block_err, _form_errors_batch(sampler, B))
-        Brep = B if ext_k is None else exterior_power_matrix(B, ext_k)
-        for i in range(B.shape[0]):
-            Q, R = np.linalg.qr(Brep[i] @ Q)
-            live = seen >= warmup   # warmup is a multiple of interval
-            if live:
-                logd = np.log(np.abs(np.diagonal(R)))
-                if not np.isfinite(logd).all():
-                    raise _CocycleOverflow("degenerate QR factor")
-                acc += logd
-            if track_standard:
-                Qs, Rs = np.linalg.qr(B[i] @ Qs)
+        per_trial = []
+        for rng in rngs:
+            G = sample_group_elements(sampler, rng, hi - lo)
+            max_sample_err = max(max_sample_err, _max_form_error(sampler, G))
+            B = _fold_blocks(G, interval)
+            if not np.isfinite(B).all():
+                raise _CocycleOverflow("block product overflow")
+            max_block_err = max(max_block_err, _max_form_error(sampler, B))
+            per_trial.append(B)
+        blocks = np.stack(per_trial, axis=1)     # (blocks, trials, d, d)
+        for s0 in range(0, blocks.shape[0], _SLAB):
+            slab = blocks[s0:s0 + _SLAB]
+            slab_rep = slab if ext_k is None else exterior_power_matrix(slab, ext_k)
+            for i in range(slab.shape[0]):
+                live = seen >= warmup   # warmup is a multiple of interval
+                Q, R = np.linalg.qr(slab_rep[i] @ Q)
                 if live:
-                    logs = np.log(np.abs(np.diagonal(Rs)))
-                    if not np.isfinite(logs).all():
-                        raise _CocycleOverflow("degenerate QR factor (standard track)")
-                    accs += logs
-            seen += min(interval, steps - seen)
+                    _accumulate(acc, R, "cocycle")
+                if track_standard:
+                    Qs, Rs = np.linalg.qr(slab[i] @ Qs)
+                    if live:
+                        _accumulate(accs, Rs, "standard track")
+                seen += min(interval, steps - seen)
+    window = steps - warmup
     return (acc / window, accs / window if track_standard else None,
             max_sample_err, max_block_err)
+
+
+def _check_sum_rule(per_trial: np.ndarray, what: str) -> None:
+    """Every sampled element has |det| = 1, so each trial's exponents must
+    sum to 0; a larger sum means the QR scheme lost precision."""
+    for trial, total in enumerate(per_trial.sum(axis=1)):
+        if not abs(total) <= _SUM_RULE_TOL:
+            raise NumericalError(
+                f"trace sum rule violated ({what}): the exponents must sum to 0; "
+                "the QR scheme lost precision (lower renorm_interval or scale)",
+                {"trial": trial, "sum": float(total), "threshold": _SUM_RULE_TOL})
 
 
 def _aggregate(per_trial: np.ndarray, trials: int):
@@ -332,6 +353,9 @@ def lyapunov_spectrum(config: SimConfig, track_standard: bool | None = None) -> 
                 {"config": repr(config), "retry_interval": half,
                  "failure": str(exc)}) from None
     per_trial, per_trial_std, sample_err, block_err = out
+    _check_sum_rule(per_trial, "cocycle")
+    if per_trial_std is not None:
+        _check_sum_rule(per_trial_std, "standard track")
 
     factor = config.form.real_factor
     means, stderr, order = _aggregate(per_trial, config.trials)
@@ -365,24 +389,9 @@ def lyapunov_spectrum(config: SimConfig, track_standard: bool | None = None) -> 
 def _run_all_trials(config: SimConfig, ext_k: int | None, interval: int,
                     track_standard: bool):
     sampler = lie_algebra_basis(config.form, config.scale)
-    rows = []
-    rows_std = []
-    sample_err = 0.0
-    block_err = 0.0
-    track_inner = track_standard and ext_k is not None
-    warmup = config.resolved_warmup(interval)
-    for trial in range(config.trials):
-        rng = _trial_rng(config.master_seed, trial)
-        acc, acc_std, serr, berr = _run_trial(
-            sampler, ext_k, config.steps, warmup, interval, rng, track_inner)
-        rows.append(acc)
-        if track_inner:
-            rows_std.append(acc_std)
-        sample_err = max(sample_err, serr)
-        block_err = max(block_err, berr)
-    per_trial = np.stack(rows)
-    per_trial_std = np.stack(rows_std) if rows_std else None
-    return per_trial, per_trial_std, sample_err, block_err
+    rngs = [_trial_rng(config.master_seed, j) for j in range(config.trials)]
+    return _run_lockstep(sampler, ext_k, config.steps, config.resolved_warmup(interval),
+                         interval, rngs, track_standard and ext_k is not None)
 
 
 def estimate_lyapunov_vector(form: RealFormSpec,

@@ -358,6 +358,23 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
     return WeightMultiset({Weight(v, base.basis): c for v, c in by_degree[k].items()})
 
 
+def exterior_power_bound(base: WeightMultiset, k: int) -> int:
+    """Upper bound on the number of distinct weights of the k-th exterior
+    power: each coordinate of a k-fold sum lies between the sums of the k
+    smallest and the k largest values of that coordinate, on the lattice
+    spanned by the differences of those values. The bound is the product
+    of these per-coordinate counts (3^q for su(p,q), any k >= 2)."""
+    values = [w.doubled for w in base.expand()]
+    bound = 1
+    for column in zip(*values):
+        ordered = sorted(column)
+        lo, hi = sum(ordered[:k]), sum(ordered[-k:])
+        step = math.gcd(*(v - ordered[0] for v in ordered))
+        if step:
+            bound *= (hi - lo) // step + 1
+    return bound
+
+
 def weights_exterior(base: WeightMultiset, k: int) -> WeightMultiset:
     """Weights of the k-th exterior power: sums over k-element subsets.
 

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from lyapzeros import cli, prediction
+from lyapzeros import cli, prediction, simulate
 
 
 def run_cli(argv):
@@ -179,3 +180,32 @@ class TestExteriorCheckCommand:
                               "--steps", "5000", "--trials", "2"])
         assert code == 0
         assert rec["payload"]["matched"] is True
+
+
+def test_sum_rule_failure_exits_1():
+    code, text = run_cli(["simulate", "--group", "sp", "--g", "1", "--scale", "5",
+                          "--steps", "2000", "--trials", "2", "--format", "json"])
+    assert code == 1 and text == ""
+
+
+def test_json_is_strict(monkeypatch):
+    real = simulate.lyapunov_spectrum
+
+    def overflowing(config):
+        res = real(config)
+        return dataclasses.replace(res, max_block_form_error=float("inf"),
+                                   exponents=(float("nan"),) + res.exponents[1:])
+
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    monkeypatch.setattr(cli, "lyapunov_spectrum", overflowing)
+    code, text = run_cli(["simulate", "--group", "sp", "--g", "1", "--steps", "1000",
+                          "--trials", "2", "--format", "json"])
+    assert code == 0
+    rec = json.loads(text, parse_constant=reject)
+    assert rec["payload"]["max_block_form_error"] is None
+    assert rec["payload"]["exponents_real"][0] is None
+    assert rec["non_finite_fields"] == ["payload.exponents_real[0]",
+                                        "payload.max_block_form_error"]
+    assert rec["schema_version"] == 1

@@ -1,3 +1,5 @@
+import io
+import warnings
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -13,6 +15,7 @@ from lyapzeros import (Basis, Family, ParameterError, RepSpec, Weight,
                        sample_group_elements, so_split, so_star, sp, su,
                        weights_restricted)
 from lyapzeros.realforms import form_preservation_errors
+from lyapzeros.weights import exterior_power_bound
 
 ALL_FORMS = [su(2, 1), su(3, 1), su(2, 2), so_split(5), so_split(6),
              so_star(2), so_star(3), sp(1), sp(2)]
@@ -305,3 +308,48 @@ class TestExteriorPowerMatrix:
     def test_range_error(self):
         with pytest.raises(ParameterError):
             exterior_power_matrix(np.eye(3), 4)
+
+    @pytest.mark.parametrize("d,k", [(4, 2), (6, 3), (8, 4)])
+    def test_equals_explicit_minors(self, d, k):
+        rng = np.random.default_rng(10 * d + k)
+        M = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        got = exterior_power_matrix(M, k)
+        subsets = [list(s) for s in combinations(range(d), k)]
+        want = np.array([[np.linalg.det(M[..., rows, :][..., cols])
+                          for cols in subsets] for rows in subsets])
+        want = np.moveaxis(want, (0, 1), (-2, -1))
+        assert got.shape == (2, 3, len(subsets), len(subsets))
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-13
+
+
+class TestExteriorWeightBound:
+    def test_su_bound_is_three_to_q(self):
+        for p, q, k in [(3, 1, 2), (12, 4, 8), (40, 8, 20)]:
+            standard = weights_restricted(su(p, q), RepSpec.standard())
+            assert exterior_power_bound(standard, k) == 3 ** q
+
+    def test_bound_holds(self):
+        for form, k in [(su(5, 3), 4), (so_star(6), 3), (su(2, 2), 2)]:
+            standard = weights_restricted(form, RepSpec.standard())
+            exact = weights_restricted(form, RepSpec.exterior(k)).distinct()
+            assert exact <= exterior_power_bound(standard, k)
+
+    def test_huge_exterior_power_warns_before_the_recurrence(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(lz.realforms, "exterior_power", reached)
+        with pytest.warns(RuntimeWarning, match="distinct restricted weights"):
+            with pytest.raises(Reached):
+                weights_restricted(su(32, 32), RepSpec.exterior(32))
+
+    def test_benchmark_queries_do_not_warn(self):
+        queries = [(su(16, 2), 9), (su(12, 4), 8), (so_star(10), 5), (su(40, 8), 20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form, k in queries:
+                lz.predict(form, RepSpec.exterior(k))
+            lz.cli.main(["classify", "--max-dim", "120"], out=io.StringIO())

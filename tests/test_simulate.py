@@ -170,18 +170,47 @@ class TestLyapunovSpectrum:
 
     def test_overflow_retry_halves_interval(self, monkeypatch):
         calls = []
-        real = lz.simulate._run_trial
+        real = lz.simulate._run_lockstep
 
-        def flaky(sampler, ext_k, steps, warmup, interval, rng, track):
+        def flaky(sampler, ext_k, steps, warmup, interval, rngs, track):
             calls.append(interval)
             if interval == 10:
                 raise lz.simulate._CocycleOverflow("forced")
-            return real(sampler, ext_k, steps, warmup, interval, rng, track)
+            return real(sampler, ext_k, steps, warmup, interval, rngs, track)
 
-        monkeypatch.setattr(lz.simulate, "_run_trial", flaky)
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", flaky)
         res = lyapunov_spectrum(SimConfig(form=sp(1), steps=1000, trials=2))
         assert res.renorm_interval_used == 5
         assert 10 in calls and 5 in calls
+
+
+    @pytest.mark.parametrize("rep", [RepSpec.standard(), RepSpec.exterior(2)],
+                             ids=lambda r: r.label())
+    def test_trials_run_independently(self, rep, monkeypatch):
+        # trial j's stream and arithmetic do not depend on the other trials;
+        # short chunks make streams shared across trials show
+        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        two = lyapunov_spectrum(quick(su(3, 1), rep, steps=3000, trials=2))
+        three = lyapunov_spectrum(quick(su(3, 1), rep, steps=3000, trials=3))
+        for a, b in zip(two.trial_exponents, three.trial_exponents[:2]):
+            assert sorted(a) == sorted(b)
+
+    @pytest.mark.parametrize("scale", [5.0, 2.0])
+    def test_sum_rule_gate(self, scale):
+        # SL(2,R) blocks this large lose precision in the QR scheme: the
+        # estimates ran to (3.83, 0.11) at scale 5 and summed to 0.047 at
+        # scale 2, where healthy runs sum to about 1e-15
+        with pytest.raises(NumericalError, match="sum rule") as info:
+            lyapunov_spectrum(SimConfig(form=sp(1), steps=2000, trials=2, scale=scale))
+        diag = info.value.diagnostics
+        assert set(diag) == {"trial", "sum", "threshold"}
+        assert abs(diag["sum"]) > diag["threshold"]
+
+    def test_healthy_sums_are_far_below_the_gate(self):
+        res = lyapunov_spectrum(quick(su(5, 1), RepSpec.exterior(3), steps=5000, trials=2))
+        for row in res.trial_exponents:
+            # realified rows count each complex exponent twice
+            assert abs(sum(row)) < 1e-3 * lz.simulate._SUM_RULE_TOL
 
 
 class TestEstimateLyapunovVector:
