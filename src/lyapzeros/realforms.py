@@ -20,7 +20,9 @@ sp(2g,R)     real 2g x 2g with the symplectic form [[0, I], [-I, 0]].
 from __future__ import annotations
 
 import functools
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -30,8 +32,7 @@ import numpy as np
 from ._expm import expm_batch
 from .errors import NumericalError, ParameterError
 from .weights import (Basis, RepKind, RepSpec, RootSystemSpec, Weight,
-                      WeightMultiset, exterior_power, exterior_power_bound,
-                      weights_of)
+                      WeightMultiset, exterior_power, exterior_power_bound)
 
 _RELATION_TOL = 1e-12
 # distinct restricted exterior-power weights above which weights_restricted
@@ -97,9 +98,9 @@ class RealFormSpec:
     def root_system(self) -> RootSystemSpec:
         """Root system of the complexified algebra.
 
-        Undefined for so*(4), whose D_2 diagram is not simple; so*(2n)
-        weight data never requires it (the standard weights come straight
-        from the split torus).
+        Undefined for so*(4), whose D_2 diagram is not simple. Restricted
+        weights never require it: weights_restricted builds them from the
+        form.
         """
         if self.family is Family.SU:
             return RootSystemSpec("A", self.p + self.q - 1)
@@ -269,45 +270,91 @@ def _check_coherent(form: RealFormSpec, rep: RepSpec) -> None:
         raise ParameterError(f"spin representation undefined for {form.label()}")
     if rep.kind in (RepKind.HALF_SPIN_PLUS, RepKind.HALF_SPIN_MINUS) and form.series != "D":
         raise ParameterError(f"half-spin representations undefined for {form.label()}")
+    if rep.is_spin_like() and form.family is Family.SO_STAR and form.n < 3:
+        raise ParameterError("half-spin representations undefined for so*(4): D_2 is not simple")
     if rep.kind is RepKind.EXTERIOR and not 1 <= rep.degree <= form.matrix_dim:
         raise ParameterError(
             f"exterior degree {rep.degree} out of range 1..{form.matrix_dim} for {form.label()}")
 
 
-def _absolute_weights(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
-    if form.family is Family.SO_STAR and rep.kind is RepKind.STANDARD:
-        # type D standard weights built directly: so*(4) is D_2, which has
-        # no RootSystemSpec
-        n = form.n
-        return WeightMultiset([Weight.unit(n, i, sign=s) for s in (1, -1) for i in range(n)])
-    return weights_of(form.root_system, rep)
+def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
+    """+-f_j for j < restricted rank, complex multiplicity 2 for so*(2n) (e_{2j-1}
+    and e_{2j} both go to f_j) and 1 otherwise, and 0 for the rest of the
+    matrix dimension."""
+    rank = form.restricted_rank
+    mult = 2 if form.family is Family.SO_STAR else 1
+    entries = {Weight.unit(rank, j, Basis.RESTRICTED, sign): mult
+               for j in range(rank) for sign in (1, -1)}
+    zero = form.matrix_dim - 2 * rank * mult
+    if zero:
+        entries[Weight.zero(rank, Basis.RESTRICTED)] = zero
+    return WeightMultiset(entries)
+
+
+def _signed_spin_product(images: Counter, sign: int) -> dict[tuple[int, ...], int]:
+    """Doubled coordinates -> coefficient in prod_i (x^(r_i/2) + sign x^(-r_i/2))
+    over the restriction images r_i = rho(e_i). An image of multiplicity m
+    contributes sum_b C(m, b) sign^b x^((m - 2b) r/2), b counting the minus
+    signs; the product is accumulated over its distinct partial sums."""
+    sums = {(0,) * len(next(iter(images))): 1}
+    for r, m in images.items():
+        step: dict[tuple[int, ...], int] = {}
+        for b in range(m + 1):
+            coeff = math.comb(m, b) * sign ** b
+            shift = tuple((m - 2 * b) * c for c in r)
+            for v, count in sums.items():
+                key = tuple(a + s for a, s in zip(v, shift))
+                step[key] = step.get(key, 0) + coeff * count
+        sums = step
+    return sums
+
+
+def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
+    """Restricted (half-)spin weights. The spin weights (+-e_1 ... +-e_n)/2
+    restrict to the terms of the sign product with sign +1; the half-spins
+    (an even or an odd number of minus signs) are half the sum and half the
+    difference of the products with sign +1 and -1. For so(m,2) they are
+    (+-f_1 +- f_2)/2, but the half-spins of so*(2n) pair coordinates: so*(8)
+    half-spin:+ is {+-f_1 +- f_2: 1, 0: 4}."""
+    rows = restriction_map(form).rows
+    images = Counter(zip(*rows))
+    plus = _signed_spin_product(images, 1)
+    if rep.kind is RepKind.SPIN:
+        coeffs = plus
+    else:
+        minus = _signed_spin_product(images, -1)
+        even = 1 if rep.kind is RepKind.HALF_SPIN_PLUS else -1
+        coeffs = {v: (c + even * minus.get(v, 0)) // 2 for v, c in plus.items()}
+    return WeightMultiset({Weight(v, Basis.RESTRICTED): c for v, c in coeffs.items() if c})
 
 
 def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
-    """Restricted weight multiset of (form, rep), with complex multiplicities.
+    """Restricted weight multiset of (form, rep), with complex multiplicities,
+    built from the form without absolute weights.
 
-    Restriction to the split torus is linear, so an exterior power is the
-    exterior power of the restricted standard weights (each e_i goes to
-    +-f_j or 0); its cost is polynomial in the standard dimension and the
-    degree, times the number of distinct restricted weights; a RuntimeWarning
-    is issued first when exterior_power_bound puts that number above
-    EXTERIOR_WEIGHT_LIMIT. Spin weights
-    are pushed through restriction_map one by one. For so*(2n) the standard
-    weights restrict to +-f_i with complex multiplicity 2 each, plus 0 with
-    multiplicity 2 when n is odd; reported real counts are twice these.
+    The standard weights restrict to +-f_j (complex multiplicity 2 for
+    so*(2n), 1 otherwise) and 0. Restriction to the split torus is linear,
+    so an exterior power is the exterior power of the restricted standard
+    weights; its cost is polynomial in the standard dimension and the
+    degree, times the number of distinct restricted weights, and a
+    RuntimeWarning is issued first when exterior_power_bound puts that
+    number above EXTERIOR_WEIGHT_LIMIT. (Half-)spin weights are the terms of
+    a sign product over the restriction images of e_1..e_n. Reported real
+    counts of su(p,q) and so*(2n) are twice these.
     """
     _check_coherent(form, rep)
-    rmap = restriction_map(form)
-    if rep.kind is RepKind.EXTERIOR:
-        standard = rmap.apply_multiset(_absolute_weights(form, RepSpec.standard()))
-        bound = exterior_power_bound(standard, rep.degree)
-        if bound > EXTERIOR_WEIGHT_LIMIT:
-            warnings.warn(
-                f"{form.label()} {rep.label()} may have up to {bound:,} distinct "
-                f"restricted weights (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
-                "time and memory grow with that number", RuntimeWarning, stacklevel=2)
-        return exterior_power(standard, rep.degree)
-    return rmap.apply_multiset(_absolute_weights(form, rep))
+    if rep.is_spin_like():
+        return _restricted_spin(form, rep)
+    standard = _restricted_standard(form)
+    if rep.kind is RepKind.STANDARD:
+        return standard
+    bound = exterior_power_bound(standard, rep.degree)
+    if bound > EXTERIOR_WEIGHT_LIMIT:
+        warnings.warn(
+            f"{form.label()} {rep.label()} may have up to {bound:,} distinct "
+            f"restricted weights (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
+            "time and memory grow with that number", RuntimeWarning, stacklevel=2)
+    return exterior_power(standard, rep.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,8 @@ def lyapunov_spectrum(config: SimConfig, track_standard: bool | None = None) -> 
     exponent is reported twice, so counts line up with real dimensions.
     Exterior-power cocycles act by compound matrices of the standard-rep
     blocks; ``track_standard`` (default: on for exterior powers) also
-    estimates the standard spectrum from the same sampled elements.
+    estimates the standard spectrum from the same sampled elements. One
+    trial gives no error bar, so its zero cluster is inconclusive.
     """
     rep = config.rep
     if rep.kind is RepKind.EXTERIOR and config.form.family not in (Family.SU, Family.SO_STAR):
@@ -362,7 +363,10 @@ def lyapunov_spectrum(config: SimConfig, track_standard: bool | None = None) -> 
     real_means = _realify(means, factor)
     real_stderr = _realify(stderr, factor)
     trial_rows = tuple(_floats(_realify(row[order], factor)) for row in per_trial)
-    cluster = classify_zero_cluster(real_means, real_stderr, config.zero_threshold)
+    if config.trials >= 2:
+        cluster = classify_zero_cluster(real_means, real_stderr, config.zero_threshold)
+    else:
+        cluster = ZeroCluster("inconclusive", "one trial gives no error bar")
 
     std_means = std_stderr = None
     if track_standard:

@@ -168,6 +168,16 @@ class TestVerify:
         assert code == 5
         assert rec["payload"]["verdict"] == "inconclusive"
 
+    @pytest.mark.parametrize("pair", [["--group", "su", "--p", "2", "--q", "1"],
+                                      ["--group", "so-split", "--m", "5"],
+                                      ["--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2"]])
+    def test_one_trial_is_inconclusive_exit5(self, pair):
+        # with one trial every stderr is 0: no zero cluster can be confirmed
+        code, rec = run_json(["verify", *pair, "--steps", "5000", "--trials", "1"])
+        assert code == 5
+        assert rec["payload"]["verdict"] == "inconclusive"
+        assert rec["payload"]["details"] == ["zero cluster: one trial gives no error bar"]
+
     def test_spin_exit3(self):
         code, _ = run_cli(["verify", "--group", "so-split", "--m", "5", "--rep", "spin"])
         assert code == 3

@@ -1,4 +1,6 @@
 import io
+import json
+import sys
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -9,11 +11,12 @@ import numpy as np
 import pytest
 
 import lyapzeros as lz
+from lyapzeros import cli
 from lyapzeros import (Basis, Family, ParameterError, RepSpec, Weight,
                        WeightMultiset, exterior_power_matrix, lie_algebra_basis,
                        restriction_map, sample_group_element,
                        sample_group_elements, so_split, so_star, sp, su,
-                       weights_restricted)
+                       weights_of, weights_restricted)
 from lyapzeros.realforms import form_preservation_errors
 from lyapzeros.weights import exterior_power_bound
 
@@ -100,7 +103,7 @@ class TestRestrictionMap:
     def test_commutes_with_negation(self):
         for form in ALL_FORMS:
             r = restriction_map(form)
-            base = lz.realforms._absolute_weights(form, RepSpec.standard())
+            base = absolute_weights(form, RepSpec.standard())
             assert r.apply_multiset(base.negated()) == r.apply_multiset(base).negated()
 
     def test_half_integers_map_to_half_integers(self):
@@ -110,13 +113,23 @@ class TestRestrictionMap:
         assert img == Weight.from_coords([Fraction(1, 2), Fraction(1, 2)], Basis.RESTRICTED)
 
 
+def absolute_weights(form, rep):
+    """Absolute weights of (form, rep) from the root system; the so*(2n)
+    standard weights are built directly, since so*(4) is D_2, which has no
+    RootSystemSpec."""
+    if form.family is Family.SO_STAR and rep.kind is lz.RepKind.STANDARD:
+        n = form.n
+        return WeightMultiset([Weight.unit(n, i, sign=s) for s in (1, -1) for i in range(n)])
+    return weights_of(form.root_system, rep)
+
+
 def restricted_by_enumeration(form, rep):
     """Reference: restrict the absolute weights of (form, rep). Exterior
     powers are summed over every k-subset of the standard weights."""
     if rep.kind is not lz.RepKind.EXTERIOR:
-        absolute = lz.realforms._absolute_weights(form, rep)
+        absolute = absolute_weights(form, rep)
     else:
-        standard = lz.realforms._absolute_weights(form, RepSpec.standard()).expand()
+        standard = absolute_weights(form, RepSpec.standard()).expand()
         absolute = WeightMultiset([reduce(add, subset)
                                    for subset in combinations(standard, rep.degree)])
     return restriction_map(form).apply_multiset(absolute)
@@ -132,12 +145,16 @@ ORACLE_GRIDS = {
                            if p + q <= 9]),
     "so-star": _exterior_pairs([so_star(n) for n in range(2, 8)]),
     "sp": _exterior_pairs([sp(g) for g in range(1, 6)]),
-    "so-odd": [(so_split(2 * n - 1), rep) for n in range(2, 9)
+    # up to so(23,2), whose spin representation has 4,096 absolute weights
+    "so-odd": [(so_split(2 * n - 1), rep) for n in range(2, 13)
                for rep in (RepSpec.standard(), RepSpec.spin())]
               + _exterior_pairs([so_split(3), so_split(5), so_split(7)]),
-    "so-even": [(so_split(2 * n - 2), rep) for n in range(3, 9)
+    "so-even": [(so_split(2 * n - 2), rep) for n in range(3, 13)
                 for rep in (RepSpec.standard(), RepSpec.half_spin("+"), RepSpec.half_spin("-"))]
                + _exterior_pairs([so_split(4), so_split(6), so_split(8)]),
+    # the half-spins of so*(2n) pair coordinates, unlike those of so(m,2)
+    "so-star-half-spin": [(so_star(n), RepSpec.half_spin(sign)) for n in range(3, 9)
+                          for sign in "+-"],
 }
 
 
@@ -170,7 +187,7 @@ class TestWeightsRestricted:
         for n in range(2, 9):
             form = so_star(n)
             direct = weights_restricted(form, RepSpec.standard())
-            base = lz.realforms._absolute_weights(form, RepSpec.standard())
+            base = absolute_weights(form, RepSpec.standard())
             generic = restriction_map(form).apply_multiset(base)
             assert direct == generic
 
@@ -184,7 +201,17 @@ class TestWeightsRestricted:
             for _, m in plus.items():
                 assert m == 2 ** (n - 3)
 
+    def test_so_star8_half_spins_pair_coordinates(self):
+        # not (+-f1 +- f2)/2: e_1, e_2 both restrict to f_1 and e_3, e_4 to f_2
+        plus = weights_restricted(so_star(4), RepSpec.half_spin("+"))
+        assert plus == WeightMultiset({F(1, 1): 1, F(1, -1): 1, F(-1, 1): 1,
+                                       F(-1, -1): 1, F(0, 0): 4})
+        minus = weights_restricted(so_star(4), RepSpec.half_spin("-"))
+        assert minus == WeightMultiset({F(1, 0): 2, F(-1, 0): 2, F(0, 1): 2, F(0, -1): 2})
+
     def test_incoherent_pairs(self):
+        with pytest.raises(ParameterError):
+            weights_restricted(so_star(2), RepSpec.half_spin("+"))
         with pytest.raises(ParameterError):
             weights_restricted(su(2, 1), RepSpec.spin())
         with pytest.raises(ParameterError):
@@ -352,4 +379,40 @@ class TestExteriorWeightBound:
             warnings.simplefilter("error")
             for form, k in queries:
                 lz.predict(form, RepSpec.exterior(k))
-            lz.cli.main(["classify", "--max-dim", "120"], out=io.StringIO())
+            cli.main(["classify", "--max-dim", "120"], out=io.StringIO())
+
+
+ABSOLUTE_WEIGHT_BUILDERS = ("weights_of", "weights_standard", "weights_spin", "weights_exterior")
+EXACT_QUERIES = [(su(16, 2), RepSpec.exterior(9)), (su(12, 4), RepSpec.exterior(8)),
+                 (so_star(10), RepSpec.exterior(5)), (so_split(23), RepSpec.spin())]
+SPIN_LIKE = {"B": [RepSpec.spin()], "D": [RepSpec.half_spin("+"), RepSpec.half_spin("-")]}
+FAMILY_ROWS = [(form, rep) for form in (su(5, 2), so_split(9), so_split(10), so_star(5),
+                                        so_star(6), sp(3))
+               for rep in [RepSpec.standard()] + SPIN_LIKE.get(form.series, [])]
+
+
+def _exact_outputs():
+    buf = io.StringIO()
+    assert cli.main(["classify", "--max-dim", "120", "--format", "json"], out=buf) == 0
+    classify = json.loads(buf.getvalue())["payload"]
+    return ([lz.predict(form, rep).as_record() for form, rep in EXACT_QUERIES + FAMILY_ROWS],
+            classify)
+
+
+def test_predict_and_classify_never_build_absolute_weights(monkeypatch):
+    # the closed forms are what makes predict and classify fast; this guards
+    # them without a timing test
+    want = _exact_outputs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("absolute weights were built or restricted")
+
+    for name, module in list(sys.modules.items()):
+        if name == "lyapzeros" or name.startswith("lyapzeros."):
+            for attr in ABSOLUTE_WEIGHT_BUILDERS:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(lz.realforms.RestrictionMap, "apply", forbidden)
+    with pytest.raises(AssertionError):
+        restricted_by_enumeration(su(3, 1), RepSpec.standard())
+    assert _exact_outputs() == want
