@@ -5,7 +5,8 @@ from .errors import (InternalError, NumericalError, ParameterError,
                      UnsupportedFeatureError)
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          evaluate_spectrum_grouped, hodge_admissible, predict,
-                         predicted_zero_count, realified_weights,
+                         predicted_counts, predicted_zero_count,
+                         realified_weights,
                          sigma_rank_bound, su_exterior_zero_multiplicity,
                          su_p1_exterior_signature, su_p1_zero_block_split)
 from .realforms import (Family, GroupSampler, RealFormSpec, RestrictionMap,

@@ -15,11 +15,14 @@ import math
 import os
 import sys
 import time
+import warnings
 
+from . import prediction
 from .errors import (InternalError, NumericalError, ParameterError,
                      UnsupportedFeatureError)
-from .prediction import predict
-from .realforms import RealFormSpec, so_split, so_star, sp, su
+from .prediction import predict, predicted_counts
+from .realforms import (EXTERIOR_WEIGHT_LIMIT, RealFormSpec, so_split, so_star,
+                        sp, su)
 from .simulate import (SimConfig, exterior_consistency_check, lyapunov_spectrum,
                        verify_prediction)
 from .weights import RepSpec, binomial
@@ -33,6 +36,9 @@ EXIT_USAGE = 2
 EXIT_INCOHERENT = 3
 EXIT_MISMATCH = 4
 EXIT_INCONCLUSIVE = 5
+
+# su(p,q) standard rows above which classify warns before building any
+CLASSIFY_ROW_LIMIT = EXTERIOR_WEIGHT_LIMIT
 
 
 def _default_seed() -> int:
@@ -159,7 +165,20 @@ def cmd_predict(args, out) -> int:
     return EXIT_OK
 
 
+def _su_standard_row_count(max_dim: int) -> int:
+    """Number of su(p,q) standard rows up to real dimension ``max_dim``:
+    floor(s/2) forms for each s = p+q <= max_dim/2, floor(m^2/4) in all."""
+    m = max_dim // 2
+    return (m // 2) * ((m + 1) // 2)
+
+
 def _admissible_rows(max_dim: int) -> list[dict]:
+    su_rows = _su_standard_row_count(max_dim)
+    if su_rows > CLASSIFY_ROW_LIMIT:
+        warnings.warn(
+            f"classify --max-dim {max_dim} lists {su_rows:,} su(p,q) standard rows "
+            f"(warning limit {CLASSIFY_ROW_LIMIT:,}); time and memory grow with "
+            "that number", RuntimeWarning, stacklevel=2)
     pairs: list[tuple[RealFormSpec, RepSpec]] = []
     # su(p,q) standard: real dimension 2(p+q)
     s = 2
@@ -198,17 +217,17 @@ def _admissible_rows(max_dim: int) -> list[dict]:
 
     rows = []
     for form, rep in pairs:
-        pred = predict(form, rep)
-        if not pred.hodge_admissible:
+        if not prediction.hodge_admissible(form, rep)[0]:
             raise InternalError(f"classify listed the inadmissible pair "
                                 f"{form.label()} {rep.label()}")
-        if pred.real_dim > max_dim:
+        real_dim, zero_count = predicted_counts(form, rep)
+        if real_dim > max_dim:
             continue
         rows.append({
             "form": form.label(),
             "rep": rep.label(),
-            "real_dim": pred.real_dim,
-            "zero_count_real": pred.zero_count_real,
+            "real_dim": real_dim,
+            "zero_count_real": zero_count,
         })
     rows.sort(key=lambda r: (r["real_dim"], r["form"], r["rep"]))
     return rows

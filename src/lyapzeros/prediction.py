@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, ParameterError, UnsupportedFeatureError
-from .realforms import Family, RealFormSpec, weights_restricted
+from .realforms import (Family, RealFormSpec, standard_multiplicities,
+                        weights_restricted)
 from .weights import (Basis, RepKind, RepSpec, Weight, WeightMultiset,
                       binomial)
 
@@ -122,10 +123,32 @@ def _zero_count_closed_form(form: RealFormSpec, rep: RepSpec) -> int | None:
     return None
 
 
+def _checked_zero_count(form: RealFormSpec, rep: RepSpec, zero_complex: int) -> None:
+    closed = _zero_count_closed_form(form, rep)
+    if closed is not None and closed != zero_complex:
+        raise InternalError(f"closed form {closed} != computed {zero_complex} zero "
+                            f"weights for {form.label()} {rep.label()}")
+
+
+def predicted_counts(form: RealFormSpec, rep: RepSpec) -> tuple[int, int]:
+    """(real dimension, real zero count) of one pair.
+
+    Standard representations are read off the form (standard_multiplicities)
+    without building weights, and cross-checked against the closed form as in
+    predict; every other representation goes through predict.
+    """
+    if rep.kind is not RepKind.STANDARD:
+        pred = predict(form, rep)
+        return pred.real_dim, pred.zero_count_real
+    _, zero_complex = standard_multiplicities(form)
+    _checked_zero_count(form, rep, zero_complex)
+    return form.matrix_dim * form.real_factor, zero_complex * form.real_factor
+
+
 def predicted_zero_count(form: RealFormSpec, rep: RepSpec) -> int:
     """Number of zero Lyapunov exponents forced by the restricted weights,
     as a real count."""
-    return predict(form, rep).zero_count_real
+    return predicted_counts(form, rep)[1]
 
 
 def su_p1_exterior_signature(p: int, k: int) -> tuple[int, int]:
@@ -281,10 +304,7 @@ def predict(form: RealFormSpec, rep: RepSpec) -> SpectrumPrediction:
     factor = form.real_factor
     real_dim = ms.total() * factor
     zero_complex = ms.zero_multiplicity()
-    closed = _zero_count_closed_form(form, rep)
-    if closed is not None and closed != zero_complex:
-        raise InternalError(f"closed form {closed} != computed {zero_complex} zero "
-                            f"weights for {form.label()} {rep.label()}")
+    _checked_zero_count(form, rep, zero_complex)
     nonzero = tuple((w, m * factor) for w, m in ms.items() if not w.is_zero())
 
     signature = None

@@ -277,15 +277,20 @@ def _check_coherent(form: RealFormSpec, rep: RepSpec) -> None:
             f"exterior degree {rep.degree} out of range 1..{form.matrix_dim} for {form.label()}")
 
 
-def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
-    """+-f_j for j < restricted rank, complex multiplicity 2 for so*(2n) (e_{2j-1}
-    and e_{2j} both go to f_j) and 1 otherwise, and 0 for the rest of the
-    matrix dimension."""
-    rank = form.restricted_rank
+def standard_multiplicities(form: RealFormSpec) -> tuple[int, int]:
+    """Complex multiplicities (of each +-f_j, of 0) in the restricted standard
+    weights: +-f_j has 2 for so*(2n) (e_{2j-1} and e_{2j} both go to f_j) and
+    1 otherwise, and 0 takes the rest of the matrix dimension."""
     mult = 2 if form.family is Family.SO_STAR else 1
+    return mult, form.matrix_dim - 2 * form.restricted_rank * mult
+
+
+def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
+    """+-f_j for j < restricted rank and 0, with standard_multiplicities."""
+    rank = form.restricted_rank
+    mult, zero = standard_multiplicities(form)
     entries = {Weight.unit(rank, j, Basis.RESTRICTED, sign): mult
                for j in range(rank) for sign in (1, -1)}
-    zero = form.matrix_dim - 2 * rank * mult
     if zero:
         entries[Weight.zero(rank, Basis.RESTRICTED)] = zero
     return WeightMultiset(entries)

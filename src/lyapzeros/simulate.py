@@ -12,7 +12,9 @@ one stacked QR per block over all trials, without mixing their arithmetic.
 
 Every sampled element has |det| = 1, so each trial's exponents must sum to
 0 (the trace sum rule). A run whose sum exceeds ``_SUM_RULE_TOL`` in any
-trial has lost precision and raises NumericalError instead of returning.
+trial has lost precision; like a cocycle overflow, it is rerun once at half
+the renorm interval, and a second failure raises NumericalError instead of
+returning.
 """
 
 from __future__ import annotations
@@ -284,15 +286,31 @@ def _run_lockstep(sampler: GroupSampler, ext_k: int | None, steps: int, warmup: 
             max_sample_err, max_block_err)
 
 
-def _check_sum_rule(per_trial: np.ndarray, what: str) -> None:
+def _sum_rule_violation(per_trial: np.ndarray, what: str) -> NumericalError | None:
     """Every sampled element has |det| = 1, so each trial's exponents must
     sum to 0; a larger sum means the QR scheme lost precision."""
     for trial, total in enumerate(per_trial.sum(axis=1)):
         if not abs(total) <= _SUM_RULE_TOL:
-            raise NumericalError(
+            return NumericalError(
                 f"trace sum rule violated ({what}): the exponents must sum to 0; "
                 "the QR scheme lost precision (lower renorm_interval or scale)",
                 {"trial": trial, "sum": float(total), "threshold": _SUM_RULE_TOL})
+    return None
+
+
+def _run_checked(config: SimConfig, ext_k: int | None, interval: int,
+                 track_standard: bool):
+    """_run_all_trials, then the sum rule on the cocycle and on the standard
+    track. Returns (output, None), or (None, failure) on a cocycle overflow or
+    a violated sum rule."""
+    try:
+        out = _run_all_trials(config, ext_k, interval, track_standard)
+    except _CocycleOverflow as exc:
+        return None, exc
+    failure = _sum_rule_violation(out[0], "cocycle")
+    if failure is None and out[1] is not None:
+        failure = _sum_rule_violation(out[1], "standard track")
+    return (None, failure) if failure else (out, None)
 
 
 def _aggregate(per_trial: np.ndarray, trials: int):
@@ -337,26 +355,19 @@ def lyapunov_spectrum(config: SimConfig, track_standard: bool | None = None) -> 
         track_standard = ext_k is not None
 
     t0 = time.perf_counter()
-    try:
-        out = _run_all_trials(config, ext_k, config.renorm_interval, track_standard)
-        interval_used = config.renorm_interval
-    except _CocycleOverflow:
-        half = config.renorm_interval // 2
-        if half < 1:
-            raise NumericalError("cocycle overflow at renorm_interval 1",
-                                 {"config": repr(config)}) from None
-        try:
-            out = _run_all_trials(config, ext_k, half, track_standard)
-            interval_used = half
-        except _CocycleOverflow as exc:
-            raise NumericalError(
-                "cocycle overflow persists after halving renorm_interval",
-                {"config": repr(config), "retry_interval": half,
-                 "failure": str(exc)}) from None
+    # a cocycle overflow or a violated sum rule is retried once at half the
+    # renorm interval: shorter blocks are better conditioned
+    interval_used = config.renorm_interval
+    out, failure = _run_checked(config, ext_k, interval_used, track_standard)
+    if failure is not None and interval_used > 1:
+        interval_used //= 2
+        out, failure = _run_checked(config, ext_k, interval_used, track_standard)
+    if isinstance(failure, NumericalError):
+        raise failure
+    if failure is not None:
+        raise NumericalError(f"cocycle overflow at renorm_interval {interval_used}",
+                             {"config": repr(config), "failure": str(failure)})
     per_trial, per_trial_std, sample_err, block_err = out
-    _check_sum_rule(per_trial, "cocycle")
-    if per_trial_std is not None:
-        _check_sum_rule(per_trial_std, "standard track")
 
     factor = config.form.real_factor
     means, stderr, order = _aggregate(per_trial, config.trials)
@@ -468,11 +479,8 @@ def verify_prediction(config: SimConfig, prediction: SpectrumPrediction) -> Verd
     else:
         details.append(f"zero cluster size {cluster.size} as predicted")
 
-    std = result.standard_exponents
-    if std is None:
-        std = result.complex_exponents
     try:
-        lam_hat = estimate_lyapunov_vector(config.form, std)
+        lam_hat = estimate_lyapunov_vector(config.form, result.standard_exponents)
     except ParameterError as exc:
         return VerdictReport("inconclusive",
                              tuple(details) + (f"Lyapunov vector estimate failed: {exc}",),

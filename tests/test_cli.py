@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import warnings
 
 import pytest
 
-from lyapzeros import cli, prediction, simulate
+from lyapzeros import (RepSpec, cli, prediction, realforms, simulate, so_split,
+                       so_star, sp, su)
 
 
 def run_cli(argv):
@@ -72,6 +75,7 @@ SU31_EXT2 = ["predict", "--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2
     ("su_exterior_zero_multiplicity", lambda p, q, k: 99, SU31_EXT2),
     ("su_p1_exterior_signature", lambda p, k: (0, 0), SU31_EXT2),
     ("hodge_admissible", lambda form, rep: (False, "broken"), ["classify", "--max-dim", "4"]),
+    ("_zero_count_closed_form", lambda form, rep: 99, ["classify", "--max-dim", "12"]),
 ])
 def test_failed_internal_check_exits_1(monkeypatch, capsys, name, broken, argv):
     # a closed form that disagrees with the computed weights is a defect in
@@ -81,6 +85,18 @@ def test_failed_internal_check_exits_1(monkeypatch, capsys, name, broken, argv):
     assert code == cli.EXIT_ERROR == 1
     assert text == ""
     assert "internal error" in capsys.readouterr().err
+
+
+def form_of(label):
+    """RealFormSpec from its label: su(p,q), so(m,2), so*(2n) or sp(2g,R)."""
+    nums = [int(x) for x in re.findall(r"\d+", label)]
+    if label.startswith("su("):
+        return su(*nums)
+    if label.startswith("so*("):
+        return so_star(nums[0] // 2)
+    if label.startswith("so("):
+        return so_split(nums[0])
+    return sp(nums[0] // 2)
 
 
 class TestClassify:
@@ -108,6 +124,58 @@ class TestClassify:
         assert code == 0
         assert "sp(2,R)" in text
         assert "real counts" in text
+
+    def test_rows_agree_with_predict(self):
+        # standard rows are read off the form; every row must still carry
+        # what the full prediction says
+        code, rec = run_json(["classify", "--max-dim", "240"])
+        assert code == 0
+        rows = rec["payload"]["rows"]
+        assert len(rows) > 3000
+        for row in rows:
+            pred = prediction.predict(form_of(row["form"]), RepSpec.parse(row["rep"]))
+            assert (row["real_dim"], row["zero_count_real"]) == \
+                (pred.real_dim, pred.zero_count_real), row
+
+    def test_standard_rows_build_no_weights(self, monkeypatch):
+        # an exterior row builds the restricted standard weights once, on the
+        # way to its exterior power; a standard row builds none
+        want = run_json(["classify", "--max-dim", "120"])[1]["payload"]
+        built = []
+        real = realforms._restricted_standard
+
+        def spy(form):
+            built.append(form.label())
+            return real(form)
+
+        monkeypatch.setattr(realforms, "_restricted_standard", spy)
+        code, rec = run_json(["classify", "--max-dim", "120"])
+        assert code == 0
+        assert rec["payload"] == want
+        exterior = [r["form"] for r in want["rows"] if r["rep"].startswith("ext:")]
+        assert len(want["rows"]) - len(exterior) > 900
+        assert sorted(built) == sorted(exterior)
+
+    def test_large_table_warns_before_building_rows(self, monkeypatch):
+        class FirstRow(Exception):
+            pass
+
+        def first_row(*args):
+            raise FirstRow
+
+        monkeypatch.setattr(cli, "su", first_row)
+        with pytest.warns(RuntimeWarning, match="250,000 su\\(p,q\\) standard rows"):
+            with pytest.raises(FirstRow):
+                run_cli(["classify", "--max-dim", "2000"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FirstRow):
+                run_cli(["classify", "--max-dim", "1000"])
+
+    @pytest.mark.parametrize("max_dim", [0, 3, 4, 5, 12, 121, 240, 1000, 2001])
+    def test_su_row_count_closed_form(self, max_dim):
+        count = sum(s // 2 for s in range(2, max_dim // 2 + 1))
+        assert cli._su_standard_row_count(max_dim) == count
 
 
 class TestSimulate:
@@ -190,6 +258,17 @@ class TestExteriorCheckCommand:
                               "--steps", "5000", "--trials", "2"])
         assert code == 0
         assert rec["payload"]["matched"] is True
+
+
+@pytest.mark.parametrize("rep", ["standard", "ext:2"])
+def test_sum_rule_violation_is_rescued_at_half_interval(rep):
+    # renorm interval 50 breaks the sum rule on su(3,1) (trial 6 sums to
+    # -1.5e-4 in the standard rep, 0.037 in ext:2); 25 keeps it
+    code, rec = run_json(["simulate", "--group", "su", "--p", "3", "--q", "1",
+                          "--rep", rep, "--renorm", "50", "--steps", "5000",
+                          "--trials", "8", "--seed", "42"])
+    assert code == 0
+    assert rec["payload"]["renorm_interval_used"] == 25
 
 
 def test_sum_rule_failure_exits_1():

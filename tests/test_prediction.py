@@ -4,11 +4,12 @@ from itertools import combinations
 import pytest
 
 import lyapzeros as lz
-from lyapzeros import (LyapunovVector, ParameterError, RepSpec,
+from lyapzeros import (InternalError, LyapunovVector, ParameterError, RepSpec,
                        UnsupportedFeatureError, binomial, evaluate_spectrum,
                        evaluate_spectrum_grouped, hodge_admissible, predict,
-                       predicted_zero_count, realified_weights,
-                       sigma_rank_bound, so_split, so_star, sp, su,
+                       predicted_counts, predicted_zero_count,
+                       realified_weights, sigma_rank_bound, so_split, so_star,
+                       sp, su,
                        su_exterior_zero_multiplicity, su_p1_exterior_signature,
                        su_p1_zero_block_split, weights_restricted)
 from lyapzeros.prediction import su_zero_weight_parity_counts
@@ -71,6 +72,22 @@ class TestZeroCounts:
 
     def test_so52_spin(self):
         assert predicted_zero_count(so_split(5), RepSpec.spin()) == 0
+
+    STANDARD_FORMS = [su(1, 1), su(3, 1), su(5, 3), su(4, 4), so_star(2), so_star(3),
+                      so_star(8), so_split(3), so_split(6), so_split(23), sp(1), sp(7)]
+
+    @pytest.mark.parametrize("form", STANDARD_FORMS, ids=lambda f: f.label())
+    def test_standard_counts_equal_predict(self, form):
+        pred = predict(form, RepSpec.standard())
+        assert predicted_counts(form, RepSpec.standard()) == \
+            (pred.real_dim, pred.zero_count_real)
+
+    @pytest.mark.parametrize("form", [su(3, 1), so_star(3), so_split(5)],
+                             ids=lambda f: f.label())
+    def test_standard_counts_cross_check_the_closed_form(self, form, monkeypatch):
+        monkeypatch.setattr(lz.prediction, "_zero_count_closed_form", lambda f, r: 99)
+        with pytest.raises(InternalError, match="closed form 99"):
+            predicted_counts(form, RepSpec.standard())
 
     def test_closed_form_equals_enumeration_small_grid(self):
         for p in range(1, 6):

@@ -206,6 +206,18 @@ class TestLyapunovSpectrum:
         assert set(diag) == {"trial", "sum", "threshold"}
         assert abs(diag["sum"]) > diag["threshold"]
 
+    def test_healthy_run_is_not_retried(self, monkeypatch):
+        intervals = []
+        real = lz.simulate._run_lockstep
+
+        def spy(sampler, ext_k, steps, warmup, interval, rngs, track):
+            intervals.append(interval)
+            return real(sampler, ext_k, steps, warmup, interval, rngs, track)
+
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", spy)
+        res = lyapunov_spectrum(quick(su(3, 1), RepSpec.exterior(2), steps=3000, trials=2))
+        assert intervals == [10] and res.renorm_interval_used == 10
+
     def test_healthy_sums_are_far_below_the_gate(self):
         res = lyapunov_spectrum(quick(su(5, 1), RepSpec.exterior(3), steps=5000, trials=2))
         for row in res.trial_exponents:
