@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from ._expm import expm_batch
-from .errors import NumericalError, ParameterError
+from .errors import InternalError, NumericalError, ParameterError
 from .weights import (Basis, RepKind, RepSpec, RootSystemSpec, Weight,
                       WeightMultiset, exterior_power, exterior_power_bound)
 
@@ -535,6 +535,8 @@ def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
     else:
         sampler = GroupSampler(form, _sp_basis(form.g), scale,
                                symplectic_form=_sp_form(form.g))
+    for F in sampler.invariant_forms().values():
+        _signed_permutation(F)
     if sampler.basis.shape[0] != form.algebra_dim:
         raise NumericalError("basis cardinality disagrees with the algebra dimension",
                              {"form": form.label(), "built": sampler.basis.shape[0],
@@ -564,17 +566,31 @@ def sample_group_element(sampler: GroupSampler, rng: np.random.Generator) -> np.
     return sample_group_elements(sampler, rng, 1)[0]
 
 
+def _signed_permutation(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, v) with F[i, c_i] = v_i = +-1 the only nonzero entries of F;
+    InternalError unless F is a signed permutation matrix."""
+    A = np.abs(F)
+    if not (np.isin(A, (0, 1)).all() and (A.sum(axis=0) == 1).all()
+            and (A.sum(axis=1) == 1).all()):
+        raise InternalError("declared invariant form is not a signed permutation")
+    c = A.argmax(axis=1)
+    return c, F[np.arange(len(F)), c]
+
+
 def form_preservation_errors(sampler: GroupSampler, g: np.ndarray) -> dict[str, float]:
     """Relative errors of the declared invariant forms under g (batched ok).
 
-    hermitian: ||g^dag H g - H|| / ||H||; bilinear forms use g^T.
+    hermitian: ||g^dag H g - H|| / ||H||; bilinear forms use g^T. Every form
+    is a signed permutation, F[i, c_i] = v_i, so F g is the gather
+    v_i g[c_i, :] and the check costs one matrix product.
     """
     out = {}
     gt = np.swapaxes(g, -1, -2)
     for name, F in sampler.invariant_forms().items():
+        c, v = _signed_permutation(F)
         left = np.conj(gt) if name == "hermitian" else gt
         with np.errstate(over="ignore", invalid="ignore"):   # overflow reads as inf
-            err = np.abs(left @ F @ g - F).max()
+            err = np.abs(left @ (v[:, None] * g[..., c, :]) - F).max()
         out[name] = float(err / np.abs(F).max())
     return out
 

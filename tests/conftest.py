@@ -14,7 +14,7 @@ def acceptance_runs():
         key = (form.label(), rep.label())
         if key not in cache:
             cfg = lz.SimConfig(form=form, rep=rep)
-            cache[key] = lz.lyapunov_spectrum(cfg, track_standard=True)
+            cache[key] = lz.lyapunov_spectrum(cfg)
         return cache[key]
 
     return get

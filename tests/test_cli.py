@@ -260,6 +260,25 @@ class TestExteriorCheckCommand:
         assert rec["payload"]["matched"] is True
 
 
+@pytest.mark.parametrize("pair", [["--p", "3", "--q", "1", "--rep", "ext:2"],
+                                  ["--p", "5", "--q", "1", "--rep", "ext:3"]],
+                         ids=["su(3,1) ext:2", "su(5,1) ext:3"])
+def test_exterior_runs_build_no_compound_matrix(pair, monkeypatch):
+    # ext:k exponents are the k-subset sums of the standard run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compound matrix built")
+
+    monkeypatch.setattr(realforms, "exterior_power_matrix", forbidden)
+    monkeypatch.setattr(simulate, "exterior_power_matrix", forbidden)
+    _, pred = run_json(["predict", "--group", "su", *pair])
+    argv = ["--group", "su", *pair, "--steps", "5000", "--trials", "8", "--seed", "1"]
+    code, rec = run_json(["simulate", *argv])
+    assert code == 0
+    assert rec["payload"]["zero_cluster"]["size"] == pred["payload"]["zero_count_real"]
+    code, rec = run_json(["verify", *argv])
+    assert code == 0 and rec["payload"]["verdict"] == "match"
+
+
 @pytest.mark.parametrize("rep", ["standard", "ext:2"])
 def test_sum_rule_violation_is_rescued_at_half_interval(rep):
     # renorm interval 50 breaks the sum rule on su(3,1) (trial 6 sums to

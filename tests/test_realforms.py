@@ -12,7 +12,7 @@ import pytest
 
 import lyapzeros as lz
 from lyapzeros import cli
-from lyapzeros import (Basis, Family, ParameterError, RepSpec, Weight,
+from lyapzeros import (Basis, Family, InternalError, ParameterError, RepSpec, Weight,
                        WeightMultiset, exterior_power_matrix, lie_algebra_basis,
                        restriction_map, sample_group_element,
                        sample_group_elements, so_split, so_star, sp, su,
@@ -290,6 +290,37 @@ class TestSampling:
         g = sample_group_elements(sampler, np.random.default_rng(2024), 10_000)
         for name, err in form_preservation_errors(sampler, g).items():
             assert err < 1e-10, (form.label(), name, err)
+
+    @pytest.mark.parametrize("form", [su(2, 1), su(2, 2), so_star(3), so_split(5),
+                                      so_split(6), sp(2)], ids=lambda f: f.label())
+    def test_gather_form_check_equals_dense_product(self, form):
+        sampler = lie_algebra_basis(form)
+        rng = np.random.default_rng(11)
+        g = sample_group_elements(sampler, rng, 200)
+        noise = rng.standard_normal(g.shape) * 0.1
+        perturbed = g + (noise.astype(g.dtype) if sampler.is_complex else noise)
+        for m, group in ((g, True), (perturbed, False)):
+            errors = form_preservation_errors(sampler, m)
+            assert set(errors) == set(sampler.invariant_forms())
+            for name, F in sampler.invariant_forms().items():
+                mt = np.swapaxes(m, -1, -2)
+                left = np.conj(mt) if name == "hermitian" else mt
+                dense = float(np.abs(left @ F @ m - F).max() / np.abs(F).max())
+                assert abs(errors[name] - dense) <= 1e-13 * max(1.0, dense)
+                assert (errors[name] < 1e-12) if group else (errors[name] > 1e-3)
+
+    def test_dense_form_is_refused(self, monkeypatch):
+        # the form check gathers rows, so every declared form must be a
+        # signed permutation
+        real = lz.realforms._so_form
+
+        def dense(d):
+            O = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))[0]
+            return O @ real(d) @ O.T
+
+        monkeypatch.setattr(lz.realforms, "_so_form", dense)
+        with pytest.raises(InternalError, match="signed permutation"):
+            lie_algebra_basis(so_split(5))
 
     def test_su21_seeded(self):
         sampler = lie_algebra_basis(su(2, 1), scale=0.3)

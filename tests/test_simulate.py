@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ class TestLyapunovSpectrum:
         assert res.standard_exponents is not None
         assert len(res.standard_exponents) == 4
 
+    @pytest.mark.parametrize("form,k", [(su(3, 1), 2), (su(5, 1), 3), (so_star(3), 2),
+                                        (su(4, 2), 3)],
+                             ids=["su(3,1)-2", "su(5,1)-3", "so*(6)-2", "su(4,2)-3"])
+    def test_exterior_rows_are_subset_sums_of_standard_rows(self, form, k):
+        # the same streams drive the standard run, so trial j's ext:k row is
+        # the k-subset sums of trial j's standard row
+        cfg = quick(form, steps=5000, trials=3, master_seed=7)
+        std = lyapunov_spectrum(cfg)
+        ext = lyapunov_spectrum(dataclasses.replace(cfg, rep=RepSpec.exterior(k)))
+        assert ext.renorm_interval_used == std.renorm_interval_used
+        for std_row, ext_row in zip(std.trial_exponents, ext.trial_exponents):
+            complex_row = std_row[::2]    # realified rows repeat each exponent
+            sums = sorted(2 * [sum(s) for s in combinations(complex_row, k)])
+            assert np.abs(np.subtract(sorted(ext_row), sums)).max() <= 1e-12
+
     def test_exterior_needs_su_or_so_star(self):
         with pytest.raises(UnsupportedFeatureError):
             lyapunov_spectrum(quick(sp(2), RepSpec.exterior(2)))
@@ -172,11 +188,11 @@ class TestLyapunovSpectrum:
         calls = []
         real = lz.simulate._run_lockstep
 
-        def flaky(sampler, ext_k, steps, warmup, interval, rngs, track):
+        def flaky(sampler, steps, warmup, interval, rngs, rep=None):
             calls.append(interval)
             if interval == 10:
                 raise lz.simulate._CocycleOverflow("forced")
-            return real(sampler, ext_k, steps, warmup, interval, rngs, track)
+            return real(sampler, steps, warmup, interval, rngs, rep)
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", flaky)
         res = lyapunov_spectrum(SimConfig(form=sp(1), steps=1000, trials=2))
@@ -210,9 +226,9 @@ class TestLyapunovSpectrum:
         intervals = []
         real = lz.simulate._run_lockstep
 
-        def spy(sampler, ext_k, steps, warmup, interval, rngs, track):
+        def spy(sampler, steps, warmup, interval, rngs, rep=None):
             intervals.append(interval)
-            return real(sampler, ext_k, steps, warmup, interval, rngs, track)
+            return real(sampler, steps, warmup, interval, rngs, rep)
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", spy)
         res = lyapunov_spectrum(quick(su(3, 1), RepSpec.exterior(2), steps=3000, trials=2))
@@ -291,6 +307,25 @@ class TestExteriorConsistency:
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFeatureError):
             exterior_consistency_check(sp(2), 2, quick(sp(2)))
+
+    def test_direct_run_is_a_compound_run(self, monkeypatch):
+        # the check must not go through the k-subset-sum path of ext:k runs,
+        # which would compare the subset sums with themselves
+        matrices = []
+        real = lz.simulate.exterior_power_matrix
+
+        def spy(M, k):
+            matrices.append(M.size // M.shape[-1] ** 2)
+            return real(M, k)
+
+        monkeypatch.setattr(lz.simulate, "exterior_power_matrix", spy)
+        cfg = quick(su(3, 1), steps=5000, trials=4)
+        chk = exterior_consistency_check(su(3, 1), 2, cfg)
+        assert sum(matrices) >= cfg.trials * cfg.steps // cfg.renorm_interval
+        assert chk.direct != chk.subset_sums
+        assert chk.matched
+        assert all(abs(s - d) <= t for s, d, t in
+                   zip(chk.subset_sums, chk.direct, chk.tolerances))
 
     def test_spin_message_text(self):
         assert _SPIN_MESSAGE == ("unsupported: spin representations are "
