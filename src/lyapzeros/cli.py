@@ -9,6 +9,7 @@ inconclusive verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -254,21 +255,32 @@ def _sim_config(args) -> SimConfig:
                      master_seed=seed, zero_threshold=args.zero_threshold)
 
 
-def _dump_trials(path: str, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        width = len(result.exponents)
-        writer.writerow(["trial"] + [f"lambda_{i + 1}" for i in range(width)])
-        for t, row in enumerate(result.trial_exponents):
-            writer.writerow([t] + list(row))
+def _open_dump(path: str | None):
+    """The --dump-trials file, opened before the run so that an unwritable
+    path costs no simulation; a null context when there is no path."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot write --dump-trials file: {exc}") from None
+
+
+def _dump_trials(fh, result) -> None:
+    writer = csv.writer(fh)
+    width = len(result.exponents)
+    writer.writerow(["trial"] + [f"lambda_{i + 1}" for i in range(width)])
+    for t, row in enumerate(result.trial_exponents):
+        writer.writerow([t] + list(row))
 
 
 def cmd_simulate(args, out) -> int:
     started = time.perf_counter()
     config = _sim_config(args)
-    result = lyapunov_spectrum(config)
-    if args.dump_trials:
-        _dump_trials(args.dump_trials, result)
+    with _open_dump(args.dump_trials) as dump:
+        result = lyapunov_spectrum(config)
+        if dump:
+            _dump_trials(dump, result)
     rec = _record("simulate",
                   {"form": config.form.label(), "rep": config.rep.label()},
                   result.as_record(),
@@ -281,9 +293,10 @@ def cmd_verify(args, out) -> int:
     started = time.perf_counter()
     config = _sim_config(args)
     pred = predict(config.form, config.rep)
-    report = verify_prediction(config, pred)
-    if args.dump_trials:
-        _dump_trials(args.dump_trials, report.result)
+    with _open_dump(args.dump_trials) as dump:
+        report = verify_prediction(config, pred)
+        if dump:
+            _dump_trials(dump, report.result)
     rec = _record("verify",
                   {"form": config.form.label(), "rep": config.rep.label()},
                   report.as_record(),

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .errors import InternalError, ParameterError, UnsupportedFeatureError
 from .realforms import (Family, RealFormSpec, standard_multiplicities,
                         weights_restricted)
-from .weights import (Basis, RepKind, RepSpec, Weight, WeightMultiset,
-                      binomial)
+from .weights import RepKind, RepSpec, Weight, WeightMultiset, binomial
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,6 @@ def evaluate_spectrum(restricted: WeightMultiset, lam, real_factor: int = 1) -> 
     contributes its pairing with the Lyapunov vector, repeated by
     multiplicity (times ``real_factor``), sorted descending."""
     values = lam.values if isinstance(lam, LyapunovVector) else tuple(float(v) for v in lam)
-    if restricted.basis is not Basis.RESTRICTED:
-        raise ParameterError("evaluate_spectrum expects restricted-basis weights")
     if restricted.rank != len(values):
         raise ParameterError(
             f"Lyapunov vector has {len(values)} entries, multiset rank is {restricted.rank}")
@@ -279,22 +276,6 @@ def evaluate_spectrum(restricted: WeightMultiset, lam, real_factor: int = 1) -> 
     for w, m in restricted.items():
         out.extend([w.evaluate(values)] * (m * real_factor))
     out.sort(reverse=True)
-    return out
-
-
-def evaluate_spectrum_grouped(restricted: WeightMultiset, lam,
-                              real_factor: int = 1) -> list[tuple[float, int, list[tuple[Weight, int]]]]:
-    """Like evaluate_spectrum but merged by exact evaluated value, keeping
-    the contributing weights: (value, total multiplicity, provenance)."""
-    values = lam.values if isinstance(lam, LyapunovVector) else tuple(float(v) for v in lam)
-    groups: dict[float, list[tuple[Weight, int]]] = {}
-    for w, m in restricted.items():
-        v = w.evaluate(values)
-        groups.setdefault(v, []).append((w, m * real_factor))
-    out = []
-    for v in sorted(groups, reverse=True):
-        prov = groups[v]
-        out.append((v, sum(m for _, m in prov), prov))
     return out
 
 

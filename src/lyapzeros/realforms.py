@@ -31,8 +31,8 @@ import numpy as np
 
 from ._expm import expm_batch
 from .errors import InternalError, NumericalError, ParameterError
-from .weights import (Basis, RepKind, RepSpec, RootSystemSpec, Weight,
-                      WeightMultiset, exterior_power, exterior_power_bound)
+from .weights import (RepKind, RepSpec, Weight, WeightMultiset, exterior_power,
+                      exterior_power_bound)
 
 _RELATION_TOL = 1e-12
 # distinct restricted exterior-power weights above which weights_restricted
@@ -87,28 +87,12 @@ class RealFormSpec:
 
     @property
     def ambient_dim(self) -> int:
-        """Number of absolute weight coordinates (e-basis)."""
+        """Number of e-basis coordinates (columns of restriction_map)."""
         if self.family is Family.SU:
             return self.p + self.q
         if self.family is Family.SP:
             return self.g
         return self.n
-
-    @property
-    def root_system(self) -> RootSystemSpec:
-        """Root system of the complexified algebra.
-
-        Undefined for so*(4), whose D_2 diagram is not simple. Restricted
-        weights never require it: weights_restricted builds them from the
-        form.
-        """
-        if self.family is Family.SU:
-            return RootSystemSpec("A", self.p + self.q - 1)
-        if self.family is Family.SO_ODD:
-            return RootSystemSpec("B", self.n)
-        if self.family in (Family.SO_EVEN, Family.SO_STAR):
-            return RootSystemSpec("D", self.n)
-        return RootSystemSpec("C", self.g)
 
     @property
     def restricted_rank(self) -> int:
@@ -206,39 +190,9 @@ def sp(g: int) -> RealFormSpec:
     return RealFormSpec(Family.SP, g=g)
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
-    """Coordinate map from absolute weights (e-basis) to restricted weights
-    (f-basis), stored as an integer matrix with entries in {-1, 0, 1}."""
-
-    rows: tuple[tuple[int, ...], ...]    # restricted_rank x ambient_dim
-    restricted_rank: int
-
-    def __post_init__(self):
-        if len(self.rows) != self.restricted_rank:
-            raise ParameterError("restriction map row count must equal restricted rank")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.rows[0])
-
-    def image(self, i: int) -> Weight:
-        """Image of the basis weight e_i (0-based) as a restricted weight."""
-        return Weight(tuple(2 * row[i] for row in self.rows), Basis.RESTRICTED)
-
-    def apply(self, w: Weight) -> Weight:
-        if w.basis is not Basis.ABSOLUTE or w.rank != self.ambient_dim:
-            raise ParameterError("restriction map expects absolute weights of matching rank")
-        support = [(i, c) for i, c in enumerate(w.doubled) if c]
-        doubled = tuple(sum(row[i] * c for i, c in support) for row in self.rows)
-        return Weight(doubled, Basis.RESTRICTED)
-
-    def apply_multiset(self, ms: WeightMultiset) -> WeightMultiset:
-        return ms.map_weights(self.apply)
-
-
-def restriction_map(form: RealFormSpec) -> RestrictionMap:
-    """Restriction of absolute weights to the maximal split torus.
+def restriction_map(form: RealFormSpec) -> tuple[tuple[int, ...], ...]:
+    """Rows (restricted_rank x ambient_dim, entries in {-1, 0, 1}) of the
+    restriction of the e-basis to the f-basis of the maximal split torus.
 
     su(p,q): e_i -> f_i and e_{p+q+1-i} -> -f_i for i <= q, the rest to 0.
     so(m,2): e_1 -> f_1, e_2 -> f_2, the rest to 0.
@@ -262,7 +216,7 @@ def restriction_map(form: RealFormSpec) -> RestrictionMap:
     else:
         for j in range(rank):
             rows[j][j] = 1
-    return RestrictionMap(tuple(tuple(r) for r in rows), rank)
+    return tuple(tuple(r) for r in rows)
 
 
 def _check_coherent(form: RealFormSpec, rep: RepSpec) -> None:
@@ -289,10 +243,10 @@ def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
     """+-f_j for j < restricted rank and 0, with standard_multiplicities."""
     rank = form.restricted_rank
     mult, zero = standard_multiplicities(form)
-    entries = {Weight.unit(rank, j, Basis.RESTRICTED, sign): mult
+    entries = {Weight.unit(rank, j, sign): mult
                for j in range(rank) for sign in (1, -1)}
     if zero:
-        entries[Weight.zero(rank, Basis.RESTRICTED)] = zero
+        entries[Weight.zero(rank)] = zero
     return WeightMultiset(entries)
 
 
@@ -321,8 +275,7 @@ def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     difference of the products with sign +1 and -1. For so(m,2) they are
     (+-f_1 +- f_2)/2, but the half-spins of so*(2n) pair coordinates: so*(8)
     half-spin:+ is {+-f_1 +- f_2: 1, 0: 4}."""
-    rows = restriction_map(form).rows
-    images = Counter(zip(*rows))
+    images = Counter(zip(*restriction_map(form)))
     plus = _signed_spin_product(images, 1)
     if rep.kind is RepKind.SPIN:
         coeffs = plus
@@ -330,7 +283,7 @@ def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
         minus = _signed_spin_product(images, -1)
         even = 1 if rep.kind is RepKind.HALF_SPIN_PLUS else -1
         coeffs = {v: (c + even * minus.get(v, 0)) // 2 for v, c in plus.items()}
-    return WeightMultiset({Weight(v, Basis.RESTRICTED): c for v, c in coeffs.items() if c})
+    return WeightMultiset({Weight(v): c for v, c in coeffs.items() if c})
 
 
 def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
@@ -465,14 +418,14 @@ class GroupSampler:
 
     ``basis`` has shape (algebra_dim, d, d); a step is exp(sum c_i B_i)
     with i.i.d. gaussian coefficients c_i of standard deviation ``scale``.
+    ``forms`` maps "hermitian", "symmetric" or "symplectic" to the invariant
+    forms the group preserves.
     """
 
     form: RealFormSpec
     basis: np.ndarray
     scale: float
-    hermitian_form: np.ndarray | None = None
-    symmetric_form: np.ndarray | None = None
-    symplectic_form: np.ndarray | None = None
+    forms: dict[str, np.ndarray]
 
     @property
     def matrix_dim(self) -> int:
@@ -482,28 +435,13 @@ class GroupSampler:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.basis)
 
-    def invariant_forms(self) -> dict[str, np.ndarray]:
-        out = {}
-        if self.hermitian_form is not None:
-            out["hermitian"] = self.hermitian_form
-        if self.symmetric_form is not None:
-            out["symmetric"] = self.symmetric_form
-        if self.symplectic_form is not None:
-            out["symplectic"] = self.symplectic_form
-        return out
-
 
 def _relation_residual(sampler: GroupSampler, X: np.ndarray) -> float:
     """Largest residual of the defining algebra relations on X."""
-    worst = 0.0
-    H = sampler.hermitian_form
-    if H is not None:
-        worst = max(worst, float(np.abs(np.conj(X.T) @ H + H @ X).max()))
-        if sampler.form.family is Family.SU:
-            worst = max(worst, abs(np.trace(X)))
-    for S in (sampler.symmetric_form, sampler.symplectic_form):
-        if S is not None:
-            worst = max(worst, float(np.abs(X.T @ S + S @ X).max()))
+    worst = abs(np.trace(X)) if sampler.form.family is Family.SU else 0.0
+    for name, F in sampler.forms.items():
+        left = np.conj(X.T) if name == "hermitian" else X.T
+        worst = max(worst, float(np.abs(left @ F + F @ X).max()))
     return worst
 
 
@@ -514,28 +452,26 @@ def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
     every element is checked against the defining relations on
     construction.
     """
-    if scale < 0:
-        raise ParameterError("scale must be nonnegative")
+    if not math.isfinite(scale) or scale < 0:
+        raise ParameterError("scale must be finite and nonnegative")
     fam = form.family
     if fam is Family.SU:
-        basis = _su_basis(form.p, form.q)
         H = np.diag([1.0] * form.p + [-1.0] * form.q).astype(complex)
-        sampler = GroupSampler(form, basis, scale, hermitian_form=H)
+        basis, forms = _su_basis(form.p, form.q), {"hermitian": H}
     elif fam in (Family.SO_ODD, Family.SO_EVEN):
         d = form.matrix_dim
-        sampler = GroupSampler(form, _so_basis(d), scale, symmetric_form=_so_form(d))
+        basis, forms = _so_basis(d), {"symmetric": _so_form(d)}
     elif fam is Family.SO_STAR:
         n = form.n
         H = np.zeros((2 * n, 2 * n), dtype=complex)
         H[:n, n:] = np.eye(n)
         H[n:, :n] = np.eye(n)
         S = np.diag([1.0] * n + [-1.0] * n).astype(complex)
-        sampler = GroupSampler(form, _so_star_basis(n), scale,
-                               hermitian_form=H, symmetric_form=S)
+        basis, forms = _so_star_basis(n), {"hermitian": H, "symmetric": S}
     else:
-        sampler = GroupSampler(form, _sp_basis(form.g), scale,
-                               symplectic_form=_sp_form(form.g))
-    for F in sampler.invariant_forms().values():
+        basis, forms = _sp_basis(form.g), {"symplectic": _sp_form(form.g)}
+    sampler = GroupSampler(form, basis, scale, forms)
+    for F in forms.values():
         _signed_permutation(F)
     if sampler.basis.shape[0] != form.algebra_dim:
         raise NumericalError("basis cardinality disagrees with the algebra dimension",
@@ -561,11 +497,6 @@ def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
     return G
 
 
-def sample_group_element(sampler: GroupSampler, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single random group element."""
-    return sample_group_elements(sampler, rng, 1)[0]
-
-
 def _signed_permutation(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, v) with F[i, c_i] = v_i = +-1 the only nonzero entries of F;
     InternalError unless F is a signed permutation matrix."""
@@ -586,7 +517,7 @@ def form_preservation_errors(sampler: GroupSampler, g: np.ndarray) -> dict[str, 
     """
     out = {}
     gt = np.swapaxes(g, -1, -2)
-    for name, F in sampler.invariant_forms().items():
+    for name, F in sampler.forms.items():
         c, v = _signed_permutation(F)
         left = np.conj(gt) if name == "hermitian" else gt
         with np.errstate(over="ignore", invalid="ignore"):   # overflow reads as inf

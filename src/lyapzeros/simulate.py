@@ -22,6 +22,7 @@ returning.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -72,8 +73,8 @@ class SimConfig:
             raise ParameterError("steps and trials must be positive")
         if not 1 <= self.renorm_interval <= 50:
             raise ParameterError("renorm_interval must lie in 1..50")
-        if self.scale < 0:
-            raise ParameterError("scale must be nonnegative")
+        if not math.isfinite(self.scale) or self.scale < 0:
+            raise ParameterError("scale must be finite and nonnegative")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ParameterError("master_seed must be a 64-bit unsigned integer")
         if not 0.0 < self.zero_threshold < 0.5:
@@ -398,7 +399,7 @@ def estimate_lyapunov_vector(form: RealFormSpec,
     rank = form.restricted_rank
     values = []
     for i in range(rank):
-        f_i = Weight.unit(rank, i, flat[0].basis)
+        f_i = Weight.unit(rank, i)
         at = [exps[j] for j, w in enumerate(flat) if w == f_i]
         values.append(sum(at) / len(at))
     return LyapunovVector(tuple(values))

@@ -1,8 +1,9 @@
-"""Exact weight combinatorics for the classical root systems A, B, C, D.
+"""Exact restricted-weight combinatorics and representation labels.
 
-Coordinates are stored doubled (integers equal to twice the coordinate) so
-that half-integer spin weights stay exact; multiset multiplicities are
-plain Python integers and never overflow.
+A weight is a vector in the f-basis of a maximal split torus. Coordinates
+are stored doubled (integers equal to twice the coordinate) so that
+half-integer spin weights stay exact; multiset multiplicities are plain
+Python integers and never overflow.
 """
 
 from __future__ import annotations
@@ -10,57 +11,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from itertools import combinations, product
-from typing import Callable, Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Mapping
 
 from .errors import ParameterError
 
 
-class Basis(Enum):
-    """Coordinate basis tag: absolute weights (e_i) or restricted weights (f_j)."""
-
-    ABSOLUTE = "e"
-    RESTRICTED = "f"
-
-
 @dataclass(frozen=True)
 class Weight:
-    """Exact weight vector with coordinates stored as doubled integers."""
+    """Exact restricted weight with coordinates stored as doubled integers."""
 
     doubled: tuple[int, ...]
-    basis: Basis = Basis.ABSOLUTE
 
     def __post_init__(self):
         if not all(isinstance(c, int) for c in self.doubled):
             raise ParameterError("weight coordinates must be doubled integers")
 
     @classmethod
-    def from_coords(cls, coords, basis: Basis = Basis.ABSOLUTE) -> "Weight":
-        """Build a weight from exact coordinates (integers or half-integers)."""
-        doubled = []
-        for c in coords:
-            c2 = Fraction(c) * 2
-            if c2.denominator != 1:
-                raise ParameterError(f"coordinate {c} is not an integer or half-integer")
-            doubled.append(int(c2))
-        return cls(tuple(doubled), basis)
-
-    @classmethod
-    def unit(cls, length: int, index: int, basis: Basis = Basis.ABSOLUTE,
-             sign: int = 1) -> "Weight":
-        """The weight sign * e_index (0-based index)."""
+    def unit(cls, length: int, index: int, sign: int = 1) -> "Weight":
+        """The weight sign * f_index (0-based index)."""
         doubled = [0] * length
         doubled[index] = 2 * sign
-        return cls(tuple(doubled), basis)
+        return cls(tuple(doubled))
 
     @classmethod
-    def zero(cls, length: int, basis: Basis = Basis.ABSOLUTE) -> "Weight":
-        return cls((0,) * length, basis)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2) for c in self.doubled)
+    def zero(cls, length: int) -> "Weight":
+        return cls((0,) * length)
 
     @property
     def rank(self) -> int:
@@ -70,12 +46,7 @@ class Weight:
         return all(c == 0 for c in self.doubled)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.doubled), self.basis)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        if self.basis is not other.basis or len(self.doubled) != len(other.doubled):
-            raise ParameterError("cannot add weights in different bases or ranks")
-        return Weight(tuple(a + b for a, b in zip(self.doubled, other.doubled)), self.basis)
+        return Weight(tuple(-c for c in self.doubled))
 
     def evaluate(self, values) -> float:
         """Pairing with a real coordinate vector of matching length."""
@@ -87,13 +58,12 @@ class Weight:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        sym = self.basis.value
         parts = []
         for i, c in enumerate(self.doubled):
             if c == 0:
                 continue
             mag = abs(c)
-            term = f"{sym}{i + 1}" if mag == 2 else f"{mag}/2*{sym}{i + 1}" if mag % 2 else f"{mag // 2}*{sym}{i + 1}"
+            term = f"f{i + 1}" if mag == 2 else f"{mag}/2*f{i + 1}" if mag % 2 else f"{mag // 2}*f{i + 1}"
             parts.append(("-" if c < 0 else "+", term))
         out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
         for s, term in parts[1:]:
@@ -109,8 +79,8 @@ def _canonical_key(weight: Weight) -> tuple[int, ...]:
 class WeightMultiset:
     """Multiset of weights with positive integer multiplicities.
 
-    All entries share one basis and rank; iteration is in the canonical
-    order (descending lexicographic on coordinates).
+    All entries share one rank; iteration is in the canonical order
+    (descending lexicographic on coordinates).
     """
 
     __slots__ = ("_entries",)
@@ -129,15 +99,9 @@ class WeightMultiset:
             acc[w] = acc.get(w, 0) + m
         if not acc:
             raise ParameterError("weight multiset cannot be empty")
-        ranks = {w.rank for w in acc}
-        bases = {w.basis for w in acc}
-        if len(ranks) != 1 or len(bases) != 1:
-            raise ParameterError("all weights must share one basis and rank")
+        if len({w.rank for w in acc}) != 1:
+            raise ParameterError("all weights must share one rank")
         object.__setattr__(self, "_entries", dict(acc))
-
-    @property
-    def basis(self) -> Basis:
-        return next(iter(self._entries)).basis
 
     @property
     def rank(self) -> int:
@@ -164,21 +128,7 @@ class WeightMultiset:
         return self._entries.get(w, 0)
 
     def zero_multiplicity(self) -> int:
-        return self._entries.get(Weight.zero(self.rank, self.basis), 0)
-
-    def negated(self) -> "WeightMultiset":
-        return WeightMultiset({-w: m for w, m in self._entries.items()})
-
-    def is_negation_closed(self) -> bool:
-        return all(self.multiplicity(-w) == m for w, m in self._entries.items())
-
-    def map_weights(self, fn: Callable[[Weight], Weight]) -> "WeightMultiset":
-        """Push the multiset through a weight map, merging collisions."""
-        acc: dict[Weight, int] = {}
-        for w, m in self._entries.items():
-            img = fn(w)
-            acc[img] = acc.get(img, 0) + m
-        return WeightMultiset(acc)
+        return self._entries.get(Weight.zero(self.rank), 0)
 
     def scaled(self, factor: int) -> "WeightMultiset":
         """Multiply every multiplicity by a positive integer factor."""
@@ -197,34 +147,6 @@ class WeightMultiset:
     def __repr__(self) -> str:
         body = ", ".join(f"{w}: {m}" for w, m in self.items())
         return f"WeightMultiset({{{body}}})"
-
-
-@dataclass(frozen=True)
-class RootSystemSpec:
-    """One of the classical series A, B, C, D with its Lie-algebra rank."""
-
-    series: str
-    rank: int
-
-    _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
-
-    def __post_init__(self):
-        if self.series not in self._MIN_RANK:
-            raise ParameterError(f"unknown root system series {self.series!r}")
-        if self.rank < self._MIN_RANK[self.series]:
-            raise ParameterError(
-                f"type {self.series} requires rank >= {self._MIN_RANK[self.series]}")
-
-    @property
-    def ambient_dim(self) -> int:
-        """Number of e-coordinates used for weights of this series."""
-        return self.rank + 1 if self.series == "A" else self.rank
-
-    @property
-    def standard_dim(self) -> int:
-        """Complex dimension of the standard (vector) representation."""
-        return {"A": self.rank + 1, "B": 2 * self.rank + 1,
-                "C": 2 * self.rank, "D": 2 * self.rank}[self.series]
 
 
 class RepKind(Enum):
@@ -313,23 +235,6 @@ def k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), k))
 
 
-def weights_standard(rs: RootSystemSpec) -> WeightMultiset:
-    """Weight multiset of the standard representation.
-
-    Type A_n is realized in ambient coordinates e_1..e_{n+1} without
-    imposing a trace constraint; B_n contributes the extra zero weight.
-    """
-    n = rs.ambient_dim
-    if rs.series == "A":
-        ws = [Weight.unit(n, i) for i in range(n)]
-    else:
-        ws = [Weight.unit(n, i) for i in range(n)]
-        ws += [Weight.unit(n, i, sign=-1) for i in range(n)]
-        if rs.series == "B":
-            ws.append(Weight.zero(n))
-    return WeightMultiset(ws)
-
-
 def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
     """Weights of the k-th exterior power of a representation with weights
     ``base``: the coefficient of t^k in prod_w (1 + t x^w), where a weight
@@ -355,7 +260,7 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
                     key = tuple(a + s for a, s in zip(v, shift))
                     target[key] = target.get(key, 0) + coeff * count
         by_degree = step
-    return WeightMultiset({Weight(v, base.basis): c for v, c in by_degree[k].items()})
+    return WeightMultiset({Weight(v): c for v, c in by_degree[k].items()})
 
 
 def exterior_power_bound(base: WeightMultiset, k: int) -> int:
@@ -373,48 +278,3 @@ def exterior_power_bound(base: WeightMultiset, k: int) -> int:
         if step:
             bound *= (hi - lo) // step + 1
     return bound
-
-
-def weights_exterior(base: WeightMultiset, k: int) -> WeightMultiset:
-    """Weights of the k-th exterior power: sums over k-element subsets.
-
-    ``base`` must be a multiplicity-free standard multiset.
-    """
-    if base.total() != base.distinct():
-        raise ParameterError("exterior power base must have all multiplicities 1")
-    return exterior_power(base, k)
-
-
-def weights_spin(rs: RootSystemSpec, which: RepSpec) -> WeightMultiset:
-    """Spin (type B) or half-spin (type D) weight multisets.
-
-    B_n: all 2^n sign vectors (±e_1 ± ... ± e_n)/2.
-    D_n: the half-spin with an even (plus) or odd (minus) number of
-    negative signs, 2^(n-1) weights each.
-    """
-    n = rs.rank
-    if rs.series == "B":
-        if which.kind is not RepKind.SPIN:
-            raise ParameterError("type B carries the full spin representation only")
-        signs = product((1, -1), repeat=n)
-        return WeightMultiset([Weight(s, Basis.ABSOLUTE) for s in signs])
-    if rs.series == "D":
-        if which.kind is RepKind.HALF_SPIN_PLUS:
-            parity = 0
-        elif which.kind is RepKind.HALF_SPIN_MINUS:
-            parity = 1
-        else:
-            raise ParameterError("type D carries the two half-spin representations")
-        ws = [Weight(s, Basis.ABSOLUTE) for s in product((1, -1), repeat=n)
-              if sum(1 for c in s if c < 0) % 2 == parity]
-        return WeightMultiset(ws)
-    raise ParameterError(f"no spin representation for type {rs.series}")
-
-
-def weights_of(rs: RootSystemSpec, rep: RepSpec) -> WeightMultiset:
-    """Weight multiset of ``rep`` for the given root system."""
-    if rep.kind is RepKind.STANDARD:
-        return weights_standard(rs)
-    if rep.kind is RepKind.EXTERIOR:
-        return weights_exterior(weights_standard(rs), rep.degree)
-    return weights_spin(rs, rep)

@@ -53,6 +53,25 @@ class TestPredict:
         assert rec["command"] == "predict"
         assert json.loads(json.dumps(rec)) == rec
 
+    @pytest.mark.parametrize("flags,weights", [
+        (["--group", "so-split", "--m", "5", "--rep", "spin"],
+         [("1/2*f1 + 1/2*f2", 2), ("1/2*f1 - 1/2*f2", 2), ("-1/2*f1 + 1/2*f2", 2),
+          ("-1/2*f1 - 1/2*f2", 2)]),
+        (["--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2"], [("f1", 4), ("-f1", 4)]),
+        (["--group", "so-star", "--n", "4", "--rep", "half-spin:+"],
+         [("f1 + f2", 2), ("f1 - f2", 2), ("-f1 + f2", 2), ("-f1 - f2", 2)]),
+        (["--group", "sp", "--g", "2", "--rep", "standard"],
+         [("f1", 1), ("f2", 1), ("-f2", 1), ("-f1", 1)]),
+    ])
+    def test_weight_strings(self, flags, weights):
+        structure = [{"weight": w, "real_multiplicity": m} for w, m in weights]
+        code, rec = run_json(["predict"] + flags)
+        assert code == 0
+        assert rec["payload"]["nonzero_structure_real"] == structure
+        code, text = run_cli(["predict"] + flags)
+        assert code == 0
+        assert f"nonzero_structure_real: {json.dumps(structure)}\n" in text
+
     def test_missing_params_exit3(self):
         code, _ = run_cli(["predict", "--group", "su", "--p", "3"])
         assert code == 3
@@ -204,6 +223,30 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["trial", "lambda_1", "lambda_2"]
         assert len(rows) == 4   # header + one row per trial
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_unwritable_dump_path_exit3_before_running(self, command, tmp_path,
+                                                        monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(cli, "lyapunov_spectrum", never)
+        monkeypatch.setattr(simulate, "lyapunov_spectrum", never)
+        code, _ = run_cli([command, "--group", "sp", "--g", "1", "--steps", "100",
+                           "--trials", "2", "--dump-trials",
+                           str(tmp_path / "missing" / "trials.csv")])
+        assert code == 3
+        assert "--dump-trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("scale,expect", [("-1", 3), ("nan", 3), ("inf", 3), ("1e300", 1)])
+    def test_scale_errors_name_their_cause(self, command, scale, expect, capsys):
+        # a non-finite scale is the caller's error; a finite overflow is numerical
+        code, _ = run_cli([command, "--group", "sp", "--g", "1", "--steps", "100",
+                           "--trials", "2", "--scale", scale])
+        assert code == expect
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale" if expect == 3 else "numerical error")
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "777")

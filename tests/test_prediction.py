@@ -6,7 +6,7 @@ import pytest
 import lyapzeros as lz
 from lyapzeros import (InternalError, LyapunovVector, ParameterError, RepSpec,
                        UnsupportedFeatureError, binomial, evaluate_spectrum,
-                       evaluate_spectrum_grouped, hodge_admissible, predict,
+                       hodge_admissible, predict,
                        predicted_counts, predicted_zero_count,
                        realified_weights, sigma_rank_bound, so_split, so_star,
                        sp, su,
@@ -262,21 +262,10 @@ class TestEvaluateSpectrum:
             spec = evaluate_spectrum(ms, lam)
             assert spec == sorted((-x for x in spec), reverse=True)
 
-    def test_grouped_provenance(self):
-        ms = weights_restricted(su(3, 1), RepSpec.exterior(2))
-        grouped = evaluate_spectrum_grouped(ms, (0.5,), real_factor=2)
-        assert [(v, m) for v, m, _ in grouped] == [(0.5, 4), (0.0, 4), (-0.5, 4)]
-        assert all(prov for _, _, prov in grouped)
-
     def test_dimension_mismatch(self):
         ms = weights_restricted(su(2, 2), RepSpec.standard())
         with pytest.raises(ParameterError):
             evaluate_spectrum(ms, (1.0,))
-
-    def test_rejects_absolute_basis(self):
-        from lyapzeros import weights_standard, RootSystemSpec
-        with pytest.raises(ParameterError):
-            evaluate_spectrum(weights_standard(RootSystemSpec("C", 2)), (1.0, 0.5))
 
 
 class TestLyapunovVector:
@@ -295,18 +284,16 @@ class TestQuotientIndependence:
         # the su(p,q) restriction kills e_1 + ... + e_{p+q} exactly
         for p in range(1, 6):
             for q in range(1, p + 1):
-                r = lz.restriction_map(su(p, q))
-                for row in r.rows:
+                for row in lz.restriction_map(su(p, q)):
                     assert sum(row) == 0
 
     def test_shift_invariance(self):
-        from lyapzeros import Weight, weights_standard
-        form = su(3, 2)
-        r = lz.restriction_map(form)
-        base = weights_standard(form.root_system)
-        shift = Weight((1,) * 5)   # c = 1/2 times the all-ones vector
-        shifted = base.map_weights(lambda w: w + shift)
-        assert r.apply_multiset(shifted) == r.apply_multiset(base)
+        rows = lz.restriction_map(su(3, 2))
+        restrict = lambda v: tuple(sum(r * c for r, c in zip(row, v)) for row in rows)
+        shift = (1,) * 5   # c = 1/2 times the all-ones vector, doubled
+        for i in range(5):
+            e_i = tuple(2 * (j == i) for j in range(5))
+            assert restrict(tuple(a + b for a, b in zip(e_i, shift))) == restrict(e_i)
 
 
 class TestPredictAssembly:

@@ -44,6 +44,11 @@ class TestSimConfig:
         with pytest.raises(ParameterError):
             SimConfig(form=su(2, 1), steps=100, warmup_steps=100)
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_scale_finite_and_nonnegative(self, scale):
+        with pytest.raises(ParameterError, match="scale"):
+            SimConfig(form=su(2, 1), scale=scale)
+
     def test_warmup_resolution(self):
         cfg = SimConfig(form=su(2, 1), steps=100_000)
         assert cfg.resolved_warmup(10) == 1000
