@@ -71,8 +71,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float, default=0.3)
     p.add_argument("--renorm", type=int, default=10)
     p.add_argument("--zero-threshold", type=float, default=0.05)
-    p.add_argument("--dump-trials", metavar="PATH", default=None,
-                   help="write per-trial exponents as CSV")
 
 
 def _parse_form(args) -> RealFormSpec:
@@ -354,6 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--k", type=int, required=True, help="exterior degree")
     p_ext.set_defaults(func=cmd_exterior_check)
 
+    for p in (p_sim, p_ver):
+        p.add_argument("--dump-trials", metavar="PATH", default=None,
+                       help="write per-trial exponents as CSV")
     for p in (p_pred, p_cls, p_sim, p_ver, p_ext):
         p.add_argument("--format", choices=["text", "json"], default="text")
     return parser

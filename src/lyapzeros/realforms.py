@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._expm import expm_batch
+from ._expm import _SLICE, expm_batch, real_form, times
 from .errors import InternalError, NumericalError, ParameterError
 from .weights import (RepKind, RepSpec, Weight, WeightMultiset, exterior_power,
                       exterior_power_bound)
@@ -512,17 +512,23 @@ def form_preservation_errors(sampler: GroupSampler, g: np.ndarray) -> dict[str, 
     """Relative errors of the declared invariant forms under g (batched ok).
 
     hermitian: ||g^dag H g - H|| / ||H||; bilinear forms use g^T. Every form
-    is a signed permutation, F[i, c_i] = v_i, so F g is the gather
-    v_i g[c_i, :] and the check costs one matrix product.
+    is a signed permutation, F[r_j, j] = w_j, so ||F|| = 1 in the max norm,
+    g^dag F is the column gather w_j g^dag[:, r_j], and each form costs one
+    product (g^dag F) g, taken in slices of ``_SLICE`` matrices. A
+    non-finite product reads inf.
     """
-    out = {}
-    gt = np.swapaxes(g, -1, -2)
-    for name, F in sampler.forms.items():
-        c, v = _signed_permutation(F)
-        left = np.conj(gt) if name == "hermitian" else gt
-        with np.errstate(over="ignore", invalid="ignore"):   # overflow reads as inf
-            err = np.abs(left @ (v[:, None] * g[..., c, :]) - F).max()
-        out[name] = float(err / np.abs(F).max())
+    g = g.reshape((-1,) + g.shape[-2:])
+    gathers = {name: _signed_permutation(F.T) for name, F in sampler.forms.items()}
+    out = dict.fromkeys(sampler.forms, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(g), _SLICE):
+            part = g[lo:lo + _SLICE]
+            M, gt = real_form(part), np.swapaxes(part, -1, -2)
+            for name, F in sampler.forms.items():
+                r, w = gathers[name]
+                left = np.conj(gt) if name == "hermitian" else gt
+                err = float(np.abs(times(left[..., r] * w, M) - F).max())
+                out[name] = max(out[name], math.inf if math.isnan(err) else err)
     return out
 
 

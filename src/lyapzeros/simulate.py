@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._expm import real_form, times
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          realified_weights)
@@ -208,23 +209,20 @@ def _fold_blocks(G: np.ndarray, interval: int) -> np.ndarray:
     """Products over consecutive blocks of ``interval`` matrices.
 
     The tail block may be shorter. Product order matches cocycle order:
-    the last matrix of a block is applied last.
+    the last matrix of a block is applied last, so each step multiplies
+    the running products from the left by one sample of every block.
     """
     m, d = G.shape[0], G.shape[-1]
     nfull = m // interval
+    stacks = [G[:nfull * interval].reshape(nfull, interval, d, d),
+              G[nfull * interval:][None]]
     blocks = []
-    if nfull:
-        body = G[:nfull * interval].reshape(nfull, interval, d, d)
-        B = body[:, 0]
-        for j in range(1, interval):
-            B = body[:, j] @ B
-        blocks.append(B)
-    if m % interval:
-        tail = G[nfull * interval:]
-        B = tail[0][None]
-        for j in range(1, tail.shape[0]):
-            B = tail[j][None] @ B
-        blocks.append(B)
+    for body in stacks:          # (blocks, length, d, d)
+        if body.size:
+            B = body[:, 0]
+            for j in range(1, body.shape[1]):
+                B = times(body[:, j], real_form(B))
+            blocks.append(B)
     return np.concatenate(blocks, axis=0)
 
 
@@ -318,7 +316,10 @@ def _run_with_retry(config: SimConfig, rep=None):
 
 
 def _aggregate(per_trial: np.ndarray, trials: int):
+    # the exponents sum to 0 (|det| = 1): project the means onto that
+    # plane, which makes lambda_2 = -lambda_1 exact for 2 x 2 groups
     means = per_trial.mean(axis=0)
+    means -= means.mean()
     if trials >= 2:
         stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
     else:

@@ -302,6 +302,17 @@ class TestExteriorCheckCommand:
         assert code == 0
         assert rec["payload"]["matched"] is True
 
+    def test_dump_trials_is_a_usage_error(self, tmp_path, capsys):
+        # exterior-check has no per-trial rows to write
+        path = tmp_path / "trials.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exterior-check", "--group", "su", "--p", "2", "--q", "1",
+                     "--k", "2", "--steps", "500", "--trials", "2",
+                     "--dump-trials", str(path)])
+        assert exc.value.code == 2
+        assert "--dump-trials" in capsys.readouterr().err
+        assert not path.exists()
+
 
 @pytest.mark.parametrize("pair", [["--p", "3", "--q", "1", "--rep", "ext:2"],
                                   ["--p", "5", "--q", "1", "--rep", "ext:3"]],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lyapzeros import lie_algebra_basis, so_split, so_star, sp, su
-from lyapzeros._expm import _THETA, expm_batch
+from lyapzeros._expm import _THETA, expm_batch, real_form, times
 from lyapzeros.errors import NumericalError
 
 
@@ -36,11 +36,48 @@ def test_batch_matches_loop():
         assert np.abs(batched[i] - expm_batch(X[i])).max() < 1e-12
 
 
+@pytest.mark.parametrize("form", [su(3, 1), so_star(3), sp(2)], ids=lambda f: f.label())
+@pytest.mark.parametrize("scale", [0.3, 5.0])
+def test_result_is_bit_identical_in_any_batch(form, scale):
+    # same (m, s): pair each matrix with the batch's largest-norm one
+    X = _samples(form, scale, 1200, seed=5)
+    whole = expm_batch(X)
+    top = np.abs(X).sum(axis=-2).max(axis=-1).argmax()
+    for i in (0, 511, 512, 1199):
+        assert np.array_equal(expm_batch(X[[i, top]])[0], whole[i])
+    assert np.array_equal(expm_batch(X[600:1100]), whole[600:1100])
+
+
 def test_determinant_exponentiates_trace():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 3, 3))
     G = expm_batch(X)
     assert np.abs(np.linalg.det(G) - np.exp(np.trace(X, axis1=1, axis2=2))).max() < 1e-10
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _products_agree(A, B):
+    got, want = times(A, real_form(B)), A @ B
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("batch", [(7,), (5, 3)], ids=["n", "blocks,trials"])
+def test_real_form_product_matches_matmul(d, batch):
+    rng = np.random.default_rng(d)
+    A = _complex_stack(rng, batch + (d, d))
+    B = _complex_stack(rng, batch + (d, d))
+    _products_agree(A, B)
+    _products_agree(np.conj(np.swapaxes(A, -1, -2)), np.swapaxes(B, -1, -2))
+    body = _complex_stack(rng, (4, 3, d, d))     # the fold's strided slices
+    _products_agree(body[:, 2], body[:, 1])
+    R, S = A.real.copy(), B.real.copy()
+    assert real_form(S) is S
+    assert np.array_equal(times(R, real_form(S)), R @ S)
 
 
 def test_rejects_bad_input():

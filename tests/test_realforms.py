@@ -284,6 +284,26 @@ class TestSampling:
                 assert abs(errors[name] - dense) <= 1e-13 * max(1.0, dense)
                 assert (errors[name] < 1e-12) if group else (errors[name] > 1e-3)
 
+    @pytest.mark.parametrize("form", [su(3, 1), so_star(3), sp(2)],
+                             ids=lambda f: f.label())
+    def test_sliced_check_equals_whole_check(self, form, monkeypatch):
+        sampler = lie_algebra_basis(form)
+        n = 2 * lz.realforms._SLICE + 100
+        g = sample_group_elements(sampler, np.random.default_rng(3), n)
+        g[n - 50] *= 1.001          # the worst matrix sits in the last slice
+        sliced = form_preservation_errors(sampler, g)
+        monkeypatch.setattr(lz.realforms, "_SLICE", n)
+        assert form_preservation_errors(sampler, g) == sliced
+        assert min(sliced.values()) > 1e-3
+
+    @pytest.mark.parametrize("form", [su(2, 1), so_star(3), sp(2)],
+                             ids=lambda f: f.label())
+    def test_non_finite_entry_reads_inf(self, form):
+        sampler = lie_algebra_basis(form)
+        g = sample_group_elements(sampler, np.random.default_rng(0), 10)
+        g[3, 0, 0] = np.inf
+        assert all(err == np.inf for err in form_preservation_errors(sampler, g).values())
+
     def test_dense_form_is_refused(self, monkeypatch):
         # the form check gathers rows, so every declared form must be a
         # signed permutation

@@ -95,9 +95,7 @@ class TestBlockMachinery:
         bounds = _block_bounds(105, 10, 40)
         assert bounds[0] == (0, 40)
         assert bounds[-1][1] == 105
-        assert all(hi - lo in (40, 25) or True for lo, hi in bounds)
-        total = sum(hi - lo for lo, hi in bounds)
-        assert total == 105
+        assert [hi - lo for lo, hi in bounds] == [40, 40, 25]
 
     def test_fold_blocks_product_order(self):
         rng = np.random.default_rng(0)
@@ -106,6 +104,13 @@ class TestBlockMachinery:
         assert B.shape == (3, 3, 3)
         assert np.allclose(B[0], G[2] @ G[1] @ G[0])
         assert np.allclose(B[2], G[6])
+        # a complex stack goes through the real-GEMM products
+        sampler = lz.lie_algebra_basis(su(3, 1))
+        G = lz.sample_group_elements(sampler, rng, 7)
+        B = _fold_blocks(G, 3)
+        assert B.shape == (3, 4, 4) and B.dtype == G.dtype
+        for got, want in zip(B, (G[2] @ G[1] @ G[0], G[5] @ G[4] @ G[3], G[6])):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestLyapunovSpectrum:
@@ -124,6 +129,14 @@ class TestLyapunovSpectrum:
         assert res.exponents[1] == lam
         assert res.exponents[2] == res.exponents[3]
         assert abs(res.exponents[3] + lam) < 3 * (res.stderr[0] + res.stderr[3])
+
+    @pytest.mark.parametrize("form", [su(1, 1), sp(1)], ids=lambda f: f.label())
+    def test_two_by_two_means_are_exactly_antisymmetric(self, form):
+        # the means are projected onto the sum-zero plane, so lambda_2 is
+        # -lambda_1 to the bit on every seed, not only where rounding cancels
+        for seed in range(30, 40):
+            res = lyapunov_spectrum(quick(form, steps=2000, trials=2, master_seed=seed))
+            assert res.complex_exponents[1] == -res.complex_exponents[0], seed
 
     def test_antisymmetry(self):
         res = lyapunov_spectrum(quick(sp(2)))
