@@ -52,15 +52,16 @@ def _default_seed() -> int:
         raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _add_group_flags(p: argparse.ArgumentParser) -> None:
+def _add_group_flags(p: argparse.ArgumentParser, rep: bool = True) -> None:
     p.add_argument("--group", required=True, choices=["su", "so-split", "so-star", "sp"])
     p.add_argument("--p", type=int, help="su: positive part of the signature")
     p.add_argument("--q", type=int, help="su: negative part of the signature")
     p.add_argument("--m", type=int, help="so-split: so(m,2)")
     p.add_argument("--n", type=int, help="so-star: so*(2n)")
     p.add_argument("--g", type=int, help="sp: sp(2g,R)")
-    p.add_argument("--rep", default="standard",
-                   help="standard | ext:K | spin | half-spin:+ | half-spin:-")
+    if rep:   # exterior-check takes --k instead
+        p.add_argument("--rep", default="standard",
+                       help="standard | ext:K | spin | half-spin:+ | half-spin:-")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -70,7 +71,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help=f"master seed (default: ${SEED_ENV_VAR} or 42)")
     p.add_argument("--scale", type=float, default=0.3)
     p.add_argument("--renorm", type=int, default=10)
-    p.add_argument("--zero-threshold", type=float, default=0.05)
 
 
 def _parse_form(args) -> RealFormSpec:
@@ -247,10 +247,12 @@ def cmd_classify(args, out) -> int:
 def _sim_config(args) -> SimConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     form = _parse_form(args)
-    rep = RepSpec.parse(args.rep)
-    return SimConfig(form=form, rep=rep, steps=args.steps, trials=args.trials,
+    pair = {}
+    if "rep" in args:   # exterior-check takes neither --rep nor --zero-threshold
+        pair = {"rep": RepSpec.parse(args.rep), "zero_threshold": args.zero_threshold}
+    return SimConfig(form=form, steps=args.steps, trials=args.trials,
                      renorm_interval=args.renorm, scale=args.scale,
-                     master_seed=seed, zero_threshold=args.zero_threshold)
+                     master_seed=seed, **pair)
 
 
 def _open_dump(path: str | None):
@@ -347,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("exterior-check",
                            help="exterior exponents vs subset sums of standard ones")
-    _add_group_flags(p_ext)
+    _add_group_flags(p_ext, rep=False)
     _add_sim_flags(p_ext)
     p_ext.add_argument("--k", type=int, required=True, help="exterior degree")
     p_ext.set_defaults(func=cmd_exterior_check)
 
     for p in (p_sim, p_ver):
+        p.add_argument("--zero-threshold", type=float, default=0.05)
         p.add_argument("--dump-trials", metavar="PATH", default=None,
                        help="write per-trial exponents as CSV")
     for p in (p_pred, p_cls, p_sim, p_ver, p_ext):

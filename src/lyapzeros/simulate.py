@@ -9,9 +9,10 @@ log |diag R|. Trials use independent, reproducible streams derived from
 (master_seed, trial index) via numpy's SeedSequence, so identical
 configurations give bit-identical results. The trials advance in lockstep,
 one stacked QR per block over all trials, without mixing their arithmetic.
-Only the standard cocycle is simulated: the exponents of its k-th exterior
-power are the k-subset sums of the standard ones (multiplicative ergodic
-theorem for exterior powers), formed trial by trial.
+A spectrum run simulates the standard cocycle only: the exponents of its
+k-th exterior power are the k-subset sums of the standard ones
+(multiplicative ergodic theorem for exterior powers), formed trial by
+trial. exterior_consistency_check tests that on one run of g + Lambda^k g.
 
 Every sampled element has |det| = 1, so each trial's exponents must sum to
 0 (the trace sum rule). A run whose sum exceeds ``_SUM_RULE_TOL`` in any
@@ -238,8 +239,8 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     all trials are then multiplied into the stacked frames (trials, d, d)
     with one stacked QR per block, so trial j's result does not depend on
     the other trials. ``rep``, if given, maps each stacked block to the
-    matrices the frames are multiplied by instead (the compound matrices
-    of exterior_consistency_check's direct run).
+    matrices the frames are multiplied by instead (the direct sums
+    g + Lambda^k g of exterior_consistency_check).
     """
     rep = rep or (lambda B: B)
     eye = rep(np.eye(sampler.matrix_dim, dtype=sampler.basis.dtype))
@@ -282,37 +283,29 @@ def _sum_rule_violation(per_trial: np.ndarray) -> NumericalError | None:
     return None
 
 
-def _run_checked(config: SimConfig, interval: int, rep):
-    """The lockstep run of ``config`` at ``interval``, then the sum rule.
-    Returns (output, None), or (None, failure) on a cocycle overflow or a
-    violated sum rule."""
-    sampler = lie_algebra_basis(config.form, config.scale)
-    rngs = [_trial_rng(config.master_seed, j) for j in range(config.trials)]
-    try:
-        out = _run_lockstep(sampler, config.steps, config.resolved_warmup(interval),
-                            interval, rngs, rep)
-    except _CocycleOverflow as exc:
-        return None, exc
-    failure = _sum_rule_violation(out[0])
-    return (None, failure) if failure else (out, None)
-
-
 def _run_with_retry(config: SimConfig, rep=None):
     """(per-trial exponents, max sample and block form errors, renorm
     interval used). A cocycle overflow or a violated sum rule is retried
     once at half the renorm interval, since shorter blocks are better
-    conditioned; a second failure raises NumericalError."""
-    interval = config.renorm_interval
-    out, failure = _run_checked(config, interval, rep)
-    if failure is not None and interval > 1:
-        interval //= 2
-        out, failure = _run_checked(config, interval, rep)
-    if isinstance(failure, NumericalError):
-        raise failure
-    if failure is not None:
-        raise NumericalError(f"cocycle overflow at renorm_interval {interval}",
-                             {"config": repr(config), "failure": str(failure)})
-    return out + (interval,)
+    conditioned; a second failure raises NumericalError. The sum rule holds
+    for the first matrix_dim columns and for the rest, if ``rep`` adds any."""
+    sampler = lie_algebra_basis(config.form, config.scale)
+    d = config.form.matrix_dim
+    for interval in (config.renorm_interval, config.renorm_interval // 2):
+        if interval == 0:   # renorm_interval 1 has no half
+            break
+        rngs = [_trial_rng(config.master_seed, j) for j in range(config.trials)]
+        try:
+            out = _run_lockstep(sampler, config.steps, config.resolved_warmup(interval),
+                                interval, rngs, rep)
+        except _CocycleOverflow as exc:
+            failure = NumericalError(f"cocycle overflow at renorm_interval {interval}",
+                                     {"config": repr(config), "failure": str(exc)})
+            continue
+        failure = _sum_rule_violation(out[0][:, :d]) or _sum_rule_violation(out[0][:, d:])
+        if failure is None:
+            return out + (interval,)
+    raise failure
 
 
 def _aggregate(per_trial: np.ndarray, trials: int):
@@ -326,6 +319,19 @@ def _aggregate(per_trial: np.ndarray, trials: int):
         stderr = np.zeros_like(means)
     order = np.argsort(-means, kind="stable")
     return means[order], stderr[order], order
+
+
+def _subset_sums(per_trial: np.ndarray, k: int) -> np.ndarray:
+    """Each trial's k-subset sums of its exponents, in k_subsets order."""
+    return per_trial[:, np.array(k_subsets(per_trial.shape[1], k))].sum(axis=-1)
+
+
+def _within_tolerance(measured, expected, stderr, lam_max: float):
+    """(agree, worst deviation, tolerances): ``measured`` agrees with
+    ``expected`` entry by entry within max(0.05 * lam_max, 3 * stderr)."""
+    tols = [max(0.05 * lam_max, 3 * se) for se in stderr]
+    devs = [abs(a - b) for a, b in zip(measured, expected)]
+    return all(dv <= t for dv, t in zip(devs, tols)), max(devs, default=0.0), tols
 
 
 def _realify(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -358,7 +364,7 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
     per_trial, sample_err, block_err, interval_used = _run_with_retry(config)
     std_means, std_stderr, _ = _aggregate(per_trial, config.trials)
     if rep.kind is RepKind.EXTERIOR:
-        per_trial = per_trial[:, np.array(k_subsets(d, rep.degree))].sum(axis=-1)
+        per_trial = _subset_sums(per_trial, rep.degree)
 
     factor = config.form.real_factor
     means, stderr, order = _aggregate(per_trial, config.trials)
@@ -460,15 +466,8 @@ def verify_prediction(config: SimConfig, prediction: SpectrumPrediction) -> Verd
                              tuple(details) + (f"Lyapunov vector estimate failed: {exc}",),
                              prediction, result, None, None)
     expected = evaluate_spectrum(realified_weights(config.form, config.rep), lam_hat)
-    lam_max = result.exponents[0]
-    worst = 0.0
-    structure_ok = True
-    for sim, exp_v, se in zip(result.exponents, expected, result.stderr):
-        tol = max(0.05 * lam_max, 3 * se)
-        dev = abs(sim - exp_v)
-        worst = max(worst, dev)
-        if dev > tol:
-            structure_ok = False
+    structure_ok, worst, _ = _within_tolerance(result.exponents, expected, result.stderr,
+                                               result.exponents[0])
     if structure_ok:
         details.append(f"spectrum matches weight evaluation (max deviation {worst:.2e})")
     else:
@@ -489,6 +488,9 @@ class ExteriorConsistencyReport:
     direct: tuple[float, ...]
     tolerances: tuple[float, ...]
     standard_result: tuple[float, ...]
+    max_sample_form_error: float
+    max_block_form_error: float
+    renorm_interval_used: int
 
     def as_record(self) -> dict:
         return {
@@ -498,6 +500,9 @@ class ExteriorConsistencyReport:
             "direct_exterior": list(self.direct),
             "tolerances": list(self.tolerances),
             "standard_complex_exponents": list(self.standard_result),
+            "max_sample_form_error": self.max_sample_form_error,
+            "max_block_form_error": self.max_block_form_error,
+            "renorm_interval_used": self.renorm_interval_used,
         }
 
 
@@ -506,40 +511,31 @@ def exterior_consistency_check(form: RealFormSpec, k: int,
     """Compare directly simulated exterior-power exponents with k-subset
     sums of the standard-representation exponents (complex counting).
 
-    The direct run multiplies its frames by the compound matrices of the
-    sampled blocks; it is the only compound run, since the identity between
-    the two is what this checks. Both runs draw the same group elements
-    unless only one of them is retried at half the renorm interval.
-    Per-exponent tolerance is max(0.05 * lambda_max, 3 * combined stderr).
+    One run multiplies its frames by diag(g, Lambda^k g) for each sampled
+    block g. QR keeps that block-diagonal, so its first matrix_dim columns
+    are a standard run and the rest a compound run on the same samples,
+    each under its own sum rule. Tolerance: max(0.05 * lambda_max, 3 *
+    (stderr of the trials' subset sums + stderr of the direct exponent)).
     """
     if form.family not in (Family.SU, Family.SO_STAR):
         raise UnsupportedFeatureError(
             "exterior consistency check applies to the su and so* families")
     cfg = replace(config, form=form, rep=RepSpec.standard())
-    compound = _run_with_retry(cfg, lambda B: exterior_power_matrix(B, k))[0]
-    direct, direct_err, _ = _aggregate(compound, cfg.trials)
-    result = lyapunov_spectrum(cfg)
-    std = np.asarray(result.complex_exponents)
-    std_err = np.asarray(result.complex_stderr)
-    sums = []
-    for subset in k_subsets(len(std), k):
-        sums.append((float(sum(std[list(subset)])),
-                     float(sum(std_err[list(subset)]))))
-    sums.sort(key=lambda t: -t[0])
-    lam_max = float(np.abs(direct).max())
-    matched = True
-    worst = 0.0
-    tols = []
-    for (s, s_err), dval, derr in zip(sums, direct, direct_err):
-        tol = max(0.05 * lam_max, 3 * (s_err + derr))
-        tols.append(tol)
-        dev = abs(s - dval)
-        worst = max(worst, dev)
-        if dev > tol:
-            matched = False
+    d = form.matrix_dim
+
+    def direct_sum(B):   # diag(B, Lambda^k B) of each stacked block
+        C = exterior_power_matrix(B, k)
+        out = np.zeros(B.shape[:-2] + (d + C.shape[-1],) * 2, dtype=B.dtype)
+        out[..., :d, :d] = B
+        out[..., d:, d:] = C
+        return out
+
+    per_trial, sample_err, block_err, interval_used = _run_with_retry(cfg, direct_sum)
+    std = _aggregate(per_trial[:, :d], cfg.trials)[0]
+    direct, direct_err, _ = _aggregate(per_trial[:, d:], cfg.trials)
+    sums, sums_err, _ = _aggregate(_subset_sums(per_trial[:, :d], k), cfg.trials)
+    matched, worst, tols = _within_tolerance(sums, direct, sums_err + direct_err,
+                                             float(np.abs(direct).max()))
     return ExteriorConsistencyReport(
-        matched=matched, max_deviation=worst,
-        subset_sums=tuple(s for s, _ in sums),
-        direct=tuple(float(x) for x in direct),
-        tolerances=tuple(tols),
-        standard_result=tuple(float(x) for x in std))
+        matched, float(worst), _floats(sums), _floats(direct), _floats(tols),
+        _floats(std), float(sample_err), float(block_err), interval_used)

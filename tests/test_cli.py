@@ -297,10 +297,25 @@ class TestVerify:
 class TestExteriorCheckCommand:
     def test_small(self):
         code, rec = run_json(["exterior-check", "--group", "su", "--p", "2", "--q", "1",
-                              "--rep", "standard", "--k", "2",
-                              "--steps", "5000", "--trials", "2"])
+                              "--k", "2", "--steps", "5000", "--trials", "2"])
         assert code == 0
-        assert rec["payload"]["matched"] is True
+        payload = rec["payload"]
+        assert payload["matched"] is True
+        assert payload["renorm_interval_used"] == 10
+        assert 0 < payload["max_sample_form_error"] < 1e-10
+        assert 0 < payload["max_block_form_error"] < 1e-8
+        assert rec["schema_version"] == 1
+
+    @pytest.mark.parametrize("flag", [["--rep", "spin"], ["--rep", "ext:3"],
+                                      ["--zero-threshold", "0.1"]])
+    def test_unread_flags_are_usage_errors(self, flag, capsys):
+        # the check reads neither flag: --k sets the degree, and its verdict
+        # compares exponents without classifying a zero cluster
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["exterior-check", "--group", "su", "--p", "3", "--q", "1",
+                     "--k", "2", "--steps", "500", "--trials", "2", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_dump_trials_is_a_usage_error(self, tmp_path, capsys):
         # exterior-check has no per-trial rows to write

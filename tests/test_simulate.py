@@ -345,6 +345,55 @@ class TestExteriorConsistency:
         assert all(abs(s - d) <= t for s, d, t in
                    zip(chk.subset_sums, chk.direct, chk.tolerances))
 
+    def test_samples_each_chunk_once(self, monkeypatch):
+        # one run of g + Lambda^k g: the standard and compound summands share
+        # every sample, so each trial draws each of its chunks once
+        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        calls = []
+        real = lz.simulate.sample_group_elements
+
+        def spy(sampler, rng, count):
+            calls.append(count)
+            return real(sampler, rng, count)
+
+        monkeypatch.setattr(lz.simulate, "sample_group_elements", spy)
+        cfg = quick(su(3, 1), steps=3000, trials=3)
+        chk = exterior_consistency_check(su(3, 1), 2, cfg)
+        assert chk.matched
+        assert calls == [1000] * (3 * 3)
+
+    def test_sum_rule_gates_each_summand(self, monkeypatch):
+        # shifting the standard and the compound summand by opposite amounts
+        # keeps each trial's row total but breaks both summands' sum rules
+        real = lz.simulate._run_lockstep
+
+        def shifted(sampler, steps, warmup, interval, rngs, rep=None):
+            per_trial, *rest = real(sampler, steps, warmup, interval, rngs, rep)
+            d = sampler.matrix_dim
+            per_trial[:, 0] += 1e-3
+            per_trial[:, d] -= 1e-3
+            return (per_trial, *rest)
+
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", shifted)
+        with pytest.raises(NumericalError, match="sum rule"):
+            exterior_consistency_check(su(3, 1), 2, quick(su(3, 1), steps=2000, trials=2))
+
+    def test_overflow_reruns_the_whole_check_at_half_interval(self, monkeypatch):
+        intervals = []
+        real = lz.simulate._run_lockstep
+
+        def flaky(sampler, steps, warmup, interval, rngs, rep=None):
+            intervals.append(interval)
+            if interval == 10:
+                raise lz.simulate._CocycleOverflow("forced")
+            return real(sampler, steps, warmup, interval, rngs, rep)
+
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", flaky)
+        chk = exterior_consistency_check(su(3, 1), 2, quick(su(3, 1), steps=2000, trials=2))
+        assert intervals == [10, 5]
+        assert chk.renorm_interval_used == 5 and chk.matched
+        assert chk.as_record()["renorm_interval_used"] == 5
+
     def test_spin_message_text(self):
         assert _SPIN_MESSAGE == ("unsupported: spin representations are "
                                  "weight-combinatorics only")
