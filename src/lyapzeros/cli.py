@@ -312,7 +312,7 @@ def cmd_verify(args, out) -> int:
 def cmd_exterior_check(args, out) -> int:
     started = time.perf_counter()
     config = _sim_config(args)
-    report = exterior_consistency_check(config.form, args.k, config)
+    report = exterior_consistency_check(config, args.k)
     rec = _record("exterior-check",
                   {"form": config.form.label(), "k": args.k},
                   report.as_record(),

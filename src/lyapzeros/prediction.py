@@ -98,10 +98,9 @@ def _form_parameters(form: RealFormSpec) -> dict:
 
 def su_exterior_zero_multiplicity(p: int, q: int, k: int) -> int:
     """Complex zero multiplicity of su(p,q) on the k-th exterior power:
-    sum over a of C(q,a) * C(p-q, k-2a)."""
-    if p < q or q < 1 or not 1 <= k <= p + q:
-        raise ParameterError("need p >= q >= 1 and 1 <= k <= p+q")
-    return sum(binomial(q, a) * binomial(p - q, k - 2 * a) for a in range(q + 1))
+    sum over a of C(q,a) * C(p-q, k-2a), both parities of
+    su_zero_weight_parity_counts."""
+    return sum(su_zero_weight_parity_counts(p, q, k))
 
 
 def _zero_count_closed_form(form: RealFormSpec, rep: RepSpec) -> int | None:
@@ -264,17 +263,18 @@ def realified_weights(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     return ms.scaled(factor) if factor != 1 else ms
 
 
-def evaluate_spectrum(restricted: WeightMultiset, lam, real_factor: int = 1) -> list[float]:
+def evaluate_spectrum(restricted: WeightMultiset, lam) -> list[float]:
     """Lyapunov exponents from weight evaluation: each restricted weight
     contributes its pairing with the Lyapunov vector, repeated by
-    multiplicity (times ``real_factor``), sorted descending."""
+    multiplicity, sorted descending. Pass realified_weights for real
+    counts."""
     values = lam.values if isinstance(lam, LyapunovVector) else tuple(float(v) for v in lam)
     if restricted.rank != len(values):
         raise ParameterError(
             f"Lyapunov vector has {len(values)} entries, multiset rank is {restricted.rank}")
     out = []
     for w, m in restricted.items():
-        out.extend([w.evaluate(values)] * (m * real_factor))
+        out.extend([w.evaluate(values)] * m)
     out.sort(reverse=True)
     return out
 

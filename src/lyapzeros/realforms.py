@@ -250,40 +250,24 @@ def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
     return WeightMultiset(entries)
 
 
-def _signed_spin_product(images: Counter, sign: int) -> dict[tuple[int, ...], int]:
-    """Doubled coordinates -> coefficient in prod_i (x^(r_i/2) + sign x^(-r_i/2))
-    over the restriction images r_i = rho(e_i). An image of multiplicity m
-    contributes sum_b C(m, b) sign^b x^((m - 2b) r/2), b counting the minus
-    signs; the product is accumulated over its distinct partial sums."""
-    sums = {(0,) * len(next(iter(images))): 1}
-    for r, m in images.items():
-        step: dict[tuple[int, ...], int] = {}
-        for b in range(m + 1):
-            coeff = math.comb(m, b) * sign ** b
-            shift = tuple((m - 2 * b) * c for c in r)
-            for v, count in sums.items():
-                key = tuple(a + s for a, s in zip(v, shift))
-                step[key] = step.get(key, 0) + coeff * count
-        sums = step
-    return sums
-
-
 def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
-    """Restricted (half-)spin weights. The spin weights (+-e_1 ... +-e_n)/2
-    restrict to the terms of the sign product with sign +1; the half-spins
-    (an even or an odd number of minus signs) are half the sum and half the
-    difference of the products with sign +1 and -1. For so(m,2) they are
-    (+-f_1 +- f_2)/2, but the half-spins of so*(2n) pair coordinates: so*(8)
-    half-spin:+ is {+-f_1 +- f_2: 1, 0: 4}."""
-    images = Counter(zip(*restriction_map(form)))
-    plus = _signed_spin_product(images, 1)
-    if rep.kind is RepKind.SPIN:
-        coeffs = plus
-    else:
-        minus = _signed_spin_product(images, -1)
-        even = 1 if rep.kind is RepKind.HALF_SPIN_PLUS else -1
-        coeffs = {v: (c + even * minus.get(v, 0)) // 2 for v, c in plus.items()}
-    return WeightMultiset({Weight(v): c for v, c in coeffs.items() if c})
+    """Restricted (half-)spin weights. The spin module is the exterior
+    algebra twisted by det^(-1/2) (Fulton-Harris section 20.1): the weight
+    (+-e_1 ... +-e_n)/2 with its minus signs on S restricts to
+    rho/2 - sum_{i in S} r_i, r_i the restriction image of e_i and rho their
+    sum. Spin takes the exterior powers of the images of every degree b,
+    half-spin:+ the even b, half-spin:- the odd b. For so(m,2) they are
+    (+-f_1 +- f_2)/2; so*(8) half-spin:+ is {+-f_1 +- f_2: 1, 0: 4}."""
+    rows = restriction_map(form)
+    images = WeightMultiset(Counter(Weight(tuple(2 * c for c in r)) for r in zip(*rows)))
+    rho = tuple(sum(row) for row in rows)
+    first = 1 if rep.kind is RepKind.HALF_SPIN_MINUS else 0
+    coeffs = Counter()
+    for b in range(first, images.total() + 1, 1 if rep.kind is RepKind.SPIN else 2):
+        sums = exterior_power(images, b).items() if b else [(Weight.zero(len(rho)), 1)]
+        for w, m in sums:
+            coeffs[Weight(tuple(r - c for r, c in zip(rho, w.doubled)))] += m
+    return WeightMultiset(coeffs)
 
 
 def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
@@ -296,8 +280,8 @@ def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     weights; its cost is polynomial in the standard dimension and the
     degree, times the number of distinct restricted weights, and a
     RuntimeWarning is issued first when exterior_power_bound puts that
-    number above EXTERIOR_WEIGHT_LIMIT. (Half-)spin weights are the terms of
-    a sign product over the restriction images of e_1..e_n. Reported real
+    number above EXTERIOR_WEIGHT_LIMIT. (Half-)spin weights are exterior
+    powers of the restriction images of e_1..e_n, shifted. Reported real
     counts of su(p,q) and so*(2n) are twice these.
     """
     _check_coherent(form, rep)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,11 +34,11 @@ from ._expm import real_form, times
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          realified_weights)
-from .realforms import (Family, GroupSampler, RealFormSpec,
+from .realforms import (EXTERIOR_WEIGHT_LIMIT, Family, GroupSampler, RealFormSpec,
                         exterior_power_matrix, form_preservation_errors,
                         lie_algebra_basis, sample_group_elements,
-                        weights_restricted)
-from .weights import RepKind, RepSpec, Weight, k_subsets
+                        standard_multiplicities)
+from .weights import RepKind, RepSpec, binomial, k_subsets
 
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
 # largest |sum of a trial's exponents| accepted. At the default scale and
@@ -50,13 +51,7 @@ _SPIN_MESSAGE = "unsupported: spin representations are weight-combinatorics only
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; defaults complete the su(2,1) suite in seconds.
-
-    ``warmup_steps`` lets the QR frame align with the Oseledets flag before
-    accumulation starts (removing the O(1/T) transient bias that would
-    otherwise swamp the zero exponents' error bars); None picks
-    min(1000, steps // 10), rounded down to whole renorm blocks.
-    """
+    """Simulation parameters; defaults complete the su(2,1) suite in seconds."""
 
     form: RealFormSpec
     rep: RepSpec = RepSpec.standard()
@@ -66,7 +61,6 @@ class SimConfig:
     scale: float = 0.3
     master_seed: int = 42
     zero_threshold: float = 0.05
-    warmup_steps: int | None = None
 
     def __post_init__(self):
         if self.rep.is_spin_like():
@@ -81,13 +75,12 @@ class SimConfig:
             raise ParameterError("master_seed must be a 64-bit unsigned integer")
         if not 0.0 < self.zero_threshold < 0.5:
             raise ParameterError("zero_threshold must lie in (0, 0.5)")
-        if self.warmup_steps is not None and not 0 <= self.warmup_steps < self.steps:
-            raise ParameterError("warmup_steps must lie in 0..steps-1")
 
     def resolved_warmup(self, interval: int) -> int:
-        """Warmup in steps, rounded down to whole blocks of ``interval``."""
-        w = self.warmup_steps if self.warmup_steps is not None else min(1000, self.steps // 10)
-        return (w // interval) * interval
+        """min(1000, steps // 10) steps, rounded down to whole blocks of
+        ``interval``, let the QR frame align with the Oseledets flag before
+        accumulation, so the O(1/T) transient spares the zero error bars."""
+        return (min(1000, self.steps // 10) // interval) * interval
 
 
 @dataclass(frozen=True)
@@ -349,8 +342,8 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
     exponent is reported twice, so counts line up with real dimensions.
     Only the standard cocycle is run; each trial's ext:k exponents are the
     k-subset sums of its standard exponents, in k_subsets order, before
-    aggregation. One trial gives no error bar, so its zero cluster is
-    inconclusive.
+    aggregation (a RuntimeWarning first if there are over EXTERIOR_WEIGHT_LIMIT).
+    One trial gives no error bar, so its zero cluster is inconclusive.
     """
     rep, d = config.rep, config.form.matrix_dim
     if rep.kind is RepKind.EXTERIOR:
@@ -359,6 +352,12 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
                 "exterior-power simulation is supported for the su and so* families only")
         if not 1 <= rep.degree <= d:
             raise ParameterError(f"exterior degree {rep.degree} out of range 1..{d}")
+        sums = binomial(d, rep.degree)
+        if sums > EXTERIOR_WEIGHT_LIMIT:
+            warnings.warn(
+                f"{config.form.label()} {rep.label()} forms {sums:,} subset sums per "
+                f"trial (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); time, memory and "
+                "output grow with that number", RuntimeWarning, stacklevel=2)
 
     t0 = time.perf_counter()
     per_trial, sample_err, block_err, interval_used = _run_with_retry(config)
@@ -394,22 +393,17 @@ def estimate_lyapunov_vector(form: RealFormSpec,
     """Read the Lyapunov vector off a standard-representation spectrum.
 
     The descending complex exponent list is aligned positionally with the
-    canonical order of the standard restricted weights, and the entries at
-    the positions of each f_i are averaged.
+    canonical order of the standard restricted weights, which puts f_i at
+    positions [i * mult, (i + 1) * mult) (standard_multiplicities), and
+    the entries there are averaged.
     """
-    ms = weights_restricted(form, RepSpec.standard())
-    flat = ms.expand()
     exps = [float(x) for x in standard_complex_exponents]
-    if len(flat) != len(exps):
+    if len(exps) != form.matrix_dim:
         raise ParameterError(
-            f"expected {len(flat)} standard exponents, got {len(exps)}")
-    rank = form.restricted_rank
-    values = []
-    for i in range(rank):
-        f_i = Weight.unit(rank, i)
-        at = [exps[j] for j, w in enumerate(flat) if w == f_i]
-        values.append(sum(at) / len(at))
-    return LyapunovVector(tuple(values))
+            f"expected {form.matrix_dim} standard exponents, got {len(exps)}")
+    mult = standard_multiplicities(form)[0]
+    return LyapunovVector(tuple(sum(exps[i * mult:(i + 1) * mult]) / mult
+                                for i in range(form.restricted_rank)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,10 +500,9 @@ class ExteriorConsistencyReport:
         }
 
 
-def exterior_consistency_check(form: RealFormSpec, k: int,
-                               config: SimConfig) -> ExteriorConsistencyReport:
-    """Compare directly simulated exterior-power exponents with k-subset
-    sums of the standard-representation exponents (complex counting).
+def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistencyReport:
+    """Compare directly simulated exterior-power exponents of config.form
+    with k-subset sums of its standard exponents (complex counting).
 
     One run multiplies its frames by diag(g, Lambda^k g) for each sampled
     block g. QR keeps that block-diagonal, so its first matrix_dim columns
@@ -517,11 +510,11 @@ def exterior_consistency_check(form: RealFormSpec, k: int,
     each under its own sum rule. Tolerance: max(0.05 * lambda_max, 3 *
     (stderr of the trials' subset sums + stderr of the direct exponent)).
     """
-    if form.family not in (Family.SU, Family.SO_STAR):
+    if config.form.family not in (Family.SU, Family.SO_STAR):
         raise UnsupportedFeatureError(
             "exterior consistency check applies to the su and so* families")
-    cfg = replace(config, form=form, rep=RepSpec.standard())
-    d = form.matrix_dim
+    cfg = replace(config, rep=RepSpec.standard())
+    d = config.form.matrix_dim
 
     def direct_sum(B):   # diag(B, Lambda^k B) of each stacked block
         C = exterior_power_matrix(B, k)

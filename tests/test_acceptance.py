@@ -178,7 +178,7 @@ def test_criterion_4_simulation_verdicts(acceptance_runs):
 
 def test_criterion_5_exterior_consistency():
     cfg = lz.SimConfig(form=su(3, 1), rep=RepSpec.exterior(2))
-    report = lz.exterior_consistency_check(su(3, 1), 2, cfg)
+    report = lz.exterior_consistency_check(cfg, 2)
     assert report.matched, report.max_deviation
     _report(5, f"su(3,1) wedge-2 subset sums match direct run "
                f"(max deviation {report.max_deviation:.2e})")
@@ -188,8 +188,7 @@ def test_criterion_6_kaimanovich_evaluation(acceptance_runs):
     worst = 0.0
     for form, rep, _ in ACCEPTANCE_PAIRS:
         res = acceptance_runs(form, rep)
-        std = res.standard_exponents or res.complex_exponents
-        lam_hat = lz.estimate_lyapunov_vector(form, std)
+        lam_hat = lz.estimate_lyapunov_vector(form, res.standard_exponents)
         expected = evaluate_spectrum(realified_weights(form, rep), lam_hat)
         lam_max = res.exponents[0]
         for sim, exp_v, se in zip(res.exponents, expected, res.stderr):

@@ -242,7 +242,7 @@ class TestHodgeAdmissible:
 class TestEvaluateSpectrum:
     def test_su21_standard(self):
         ms = weights_restricted(su(2, 1), RepSpec.standard())
-        assert evaluate_spectrum(ms, (1.0,), real_factor=2) == [1, 1, 0, 0, -1, -1]
+        assert evaluate_spectrum(ms.scaled(2), (1.0,)) == [1, 1, 0, 0, -1, -1]
 
     def test_zero_vector(self):
         ms = weights_restricted(su(3, 1), RepSpec.exterior(2))

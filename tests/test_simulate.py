@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -41,8 +42,6 @@ class TestSimConfig:
             SimConfig(form=su(2, 1), steps=0)
         with pytest.raises(ParameterError):
             SimConfig(form=su(2, 1), master_seed=-1)
-        with pytest.raises(ParameterError):
-            SimConfig(form=su(2, 1), steps=100, warmup_steps=100)
 
     @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
     def test_scale_finite_and_nonnegative(self, scale):
@@ -54,7 +53,7 @@ class TestSimConfig:
         assert cfg.resolved_warmup(10) == 1000
         cfg = SimConfig(form=su(2, 1), steps=50)
         assert cfg.resolved_warmup(10) == 0
-        cfg = SimConfig(form=su(2, 1), steps=1000, warmup_steps=25)
+        cfg = SimConfig(form=su(2, 1), steps=250)
         assert cfg.resolved_warmup(10) == 20
 
 
@@ -197,6 +196,23 @@ class TestLyapunovSpectrum:
         with pytest.raises(ParameterError):
             lyapunov_spectrum(quick(su(2, 1), RepSpec.exterior(5)))
 
+    def test_large_exterior_warns_before_sampling(self, monkeypatch):
+        # su(10,10) ext:10 forms C(20,10) = 184,756 subset sums per trial
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lz.simulate, "_run_with_retry", sampled)
+        with pytest.warns(RuntimeWarning, match="184,756 subset sums"):
+            with pytest.raises(Sampled):
+                lyapunov_spectrum(quick(su(10, 10), RepSpec.exterior(10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Sampled):
+                lyapunov_spectrum(quick(su(8, 8), RepSpec.exterior(8)))
+
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=1,
@@ -313,18 +329,18 @@ class TestVerifyPrediction:
 
 class TestExteriorConsistency:
     def test_k1_identity(self):
-        chk = exterior_consistency_check(su(2, 1), 1, quick(su(2, 1), steps=5000, trials=2))
+        chk = exterior_consistency_check(quick(su(2, 1), steps=5000, trials=2), 1)
         assert chk.matched
         assert np.allclose(chk.subset_sums, chk.standard_result)
 
     def test_top_power_determinant(self):
-        chk = exterior_consistency_check(su(2, 1), 3, quick(su(2, 1), steps=5000, trials=2))
+        chk = exterior_consistency_check(quick(su(2, 1), steps=5000, trials=2), 3)
         assert len(chk.direct) == 1
         assert abs(chk.direct[0]) < 1e-8
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFeatureError):
-            exterior_consistency_check(sp(2), 2, quick(sp(2)))
+            exterior_consistency_check(quick(sp(2)), 2)
 
     def test_direct_run_is_a_compound_run(self, monkeypatch):
         # the check must not go through the k-subset-sum path of ext:k runs,
@@ -338,7 +354,7 @@ class TestExteriorConsistency:
 
         monkeypatch.setattr(lz.simulate, "exterior_power_matrix", spy)
         cfg = quick(su(3, 1), steps=5000, trials=4)
-        chk = exterior_consistency_check(su(3, 1), 2, cfg)
+        chk = exterior_consistency_check(cfg, 2)
         assert sum(matrices) >= cfg.trials * cfg.steps // cfg.renorm_interval
         assert chk.direct != chk.subset_sums
         assert chk.matched
@@ -358,7 +374,7 @@ class TestExteriorConsistency:
 
         monkeypatch.setattr(lz.simulate, "sample_group_elements", spy)
         cfg = quick(su(3, 1), steps=3000, trials=3)
-        chk = exterior_consistency_check(su(3, 1), 2, cfg)
+        chk = exterior_consistency_check(cfg, 2)
         assert chk.matched
         assert calls == [1000] * (3 * 3)
 
@@ -376,7 +392,7 @@ class TestExteriorConsistency:
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", shifted)
         with pytest.raises(NumericalError, match="sum rule"):
-            exterior_consistency_check(su(3, 1), 2, quick(su(3, 1), steps=2000, trials=2))
+            exterior_consistency_check(quick(su(3, 1), steps=2000, trials=2), 2)
 
     def test_overflow_reruns_the_whole_check_at_half_interval(self, monkeypatch):
         intervals = []
@@ -389,7 +405,7 @@ class TestExteriorConsistency:
             return real(sampler, steps, warmup, interval, rngs, rep)
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", flaky)
-        chk = exterior_consistency_check(su(3, 1), 2, quick(su(3, 1), steps=2000, trials=2))
+        chk = exterior_consistency_check(quick(su(3, 1), steps=2000, trials=2), 2)
         assert intervals == [10, 5]
         assert chk.renorm_interval_used == 5 and chk.matched
         assert chk.as_record()["renorm_interval_used"] == 5
