@@ -112,12 +112,14 @@ def _finite(value, path: str, non_finite: list[str]):
 
 def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "json":
-        non_finite: list[str] = []
-        record = _finite(record, "", non_finite)
-        if non_finite:
+        try:
+            text = json.dumps(record, indent=2, allow_nan=False)
+        except ValueError:      # a non-finite float: null it and name it
+            non_finite: list[str] = []
+            record = _finite(record, "", non_finite)
             record["non_finite_fields"] = non_finite
-        json.dump(record, out, indent=2, allow_nan=False)
-        out.write("\n")
+            text = json.dumps(record, indent=2, allow_nan=False)
+        out.write(text + "\n")
         return
     _emit_text(record, out)
 

@@ -26,10 +26,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
-from ._expm import _SLICE, expm_batch, real_form, times
+from ._expm import _SLICE, cayley_batch, real_form, times
 from .errors import InternalError, NumericalError, ParameterError
 from .weights import (RepKind, RepSpec, Weight, WeightMultiset, exterior_power,
                       exterior_power_bound)
@@ -253,21 +254,28 @@ def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
 def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     """Restricted (half-)spin weights. The spin module is the exterior
     algebra twisted by det^(-1/2) (Fulton-Harris section 20.1): the weight
-    (+-e_1 ... +-e_n)/2 with its minus signs on S restricts to
-    rho/2 - sum_{i in S} r_i, r_i the restriction image of e_i and rho their
-    sum. Spin takes the exterior powers of the images of every degree b,
-    half-spin:+ the even b, half-spin:- the odd b. For so(m,2) they are
-    (+-f_1 +- f_2)/2; so*(8) half-spin:+ is {+-f_1 +- f_2: 1, 0: 4}."""
+    (+-e_1 ... +-e_n)/2 restricts to (+-r_1 ... +-r_n)/2, r_i the restriction
+    image of e_i. One pass over the images expands prod_i (x^(r_i/2) +
+    x^(-r_i/2)), keeping the terms by the parity of their minus signs: spin
+    takes both, half-spin:+ the even ones, half-spin:- the odd ones. For
+    so(m,2) they are (+-f_1 +- f_2)/2; so*(8) half-spin:+ is
+    {+-f_1 +- f_2: 1, 0: 4}."""
     rows = restriction_map(form)
-    images = WeightMultiset(Counter(Weight(tuple(2 * c for c in r)) for r in zip(*rows)))
-    rho = tuple(sum(row) for row in rows)
-    first = 1 if rep.kind is RepKind.HALF_SPIN_MINUS else 0
-    coeffs = Counter()
-    for b in range(first, images.total() + 1, 1 if rep.kind is RepKind.SPIN else 2):
-        sums = exterior_power(images, b).items() if b else [(Weight.zero(len(rho)), 1)]
-        for w, m in sums:
-            coeffs[Weight(tuple(r - c for r, c in zip(rho, w.doubled)))] += m
-    return WeightMultiset(coeffs)
+    by_parity = [Counter({(0,) * len(rows): 1}), Counter()]   # doubled coords
+    for r, m in Counter(zip(*rows)).items():
+        terms = Counter()               # b of the m equal images take a minus
+        for b in range(m + 1):
+            terms[b % 2, tuple((m - 2 * b) * c for c in r)] += math.comb(m, b)
+        step = [Counter(), Counter()]
+        for (flip, shift), coeff in terms.items():
+            for parity, sums in enumerate(by_parity):
+                target = step[parity ^ flip]
+                for v, count in sums.items():
+                    target[tuple(map(add, v, shift))] += coeff * count
+        by_parity = step
+    kept = {RepKind.SPIN: by_parity[0] + by_parity[1],
+            RepKind.HALF_SPIN_PLUS: by_parity[0], RepKind.HALF_SPIN_MINUS: by_parity[1]}
+    return WeightMultiset({Weight(v): c for v, c in kept[rep.kind].items()})
 
 
 def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
@@ -400,8 +408,9 @@ def _sp_form(g: int) -> np.ndarray:
 class GroupSampler:
     """Matrix realization of a real form plus its random-walk step law.
 
-    ``basis`` has shape (algebra_dim, d, d); a step is exp(sum c_i B_i)
-    with i.i.d. gaussian coefficients c_i of standard deviation ``scale``.
+    ``basis`` has shape (algebra_dim, d, d); a step is the scaled Cayley
+    step of X = sum c_i B_i (``_expm.cayley_batch``), close to exp(X), with
+    i.i.d. gaussian coefficients c_i of standard deviation ``scale``.
     ``forms`` maps "hermitian", "symmetric" or "symplectic" to the invariant
     forms the group preserves.
     """
@@ -470,13 +479,14 @@ def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
 
 def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
                           count: int) -> np.ndarray:
-    """Draw ``count`` random group elements exp(sum c_i B_i), c_i ~ N(0, scale^2)."""
+    """Draw ``count`` random group elements, the scaled Cayley steps
+    cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2)."""
     nb = sampler.basis.shape[0]
     coeffs = rng.standard_normal((count, nb)) * sampler.scale
     X = np.tensordot(coeffs, sampler.basis, axes=(1, 0))
-    G = expm_batch(X)
+    G = cayley_batch(X)
     if not np.isfinite(G).all():
-        raise NumericalError("matrix exponential overflowed",
+        raise NumericalError("group element overflowed",
                              {"form": sampler.form.label(), "scale": sampler.scale})
     return G
 

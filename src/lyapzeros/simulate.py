@@ -1,14 +1,15 @@
 """Lyapunov spectrum estimation for random cocycles and verdicts against
 spectrum predictions.
 
-The cocycle is an i.i.d. product of group elements exp(sum c_i B_i) with
-gaussian coefficients. Exponents are estimated per trial by the QR
-(Benettin) scheme: the orthonormal frame is multiplied by blocks of
-``renorm_interval`` steps and re-orthonormalized, accumulating
-log |diag R|. Trials use independent, reproducible streams derived from
-(master_seed, trial index) via numpy's SeedSequence, so identical
-configurations give bit-identical results. The trials advance in lockstep,
-one stacked QR per block over all trials, without mixing their arithmetic.
+The cocycle is an i.i.d. product of group elements, the scaled Cayley
+steps of X = sum c_i B_i with gaussian coefficients (close to exp(X); see
+``_expm``). Exponents are estimated per trial by the QR (Benettin) scheme:
+the orthonormal frame is multiplied by blocks of ``renorm_interval`` steps
+and re-orthonormalized, accumulating log |diag R|. Trials use independent,
+reproducible streams derived from (master_seed, trial index) via numpy's
+SeedSequence, so identical configurations give bit-identical results. The
+trials advance in lockstep, one stacked QR per block over all trials,
+without mixing their arithmetic.
 A spectrum run simulates the standard cocycle only: the exponents of its
 k-th exterior power are the k-subset sums of the standard ones
 (multiplicative ergodic theorem for exterior powers), formed trial by

@@ -350,11 +350,12 @@ def test_exterior_runs_build_no_compound_matrix(pair, monkeypatch):
 
 @pytest.mark.parametrize("rep", ["standard", "ext:2"])
 def test_sum_rule_violation_is_rescued_at_half_interval(rep):
-    # renorm interval 50 breaks the sum rule on su(3,1) (trial 6 sums to
-    # -1.5e-4 in the standard rep, 0.037 in ext:2); 25 keeps it
+    # renorm interval 50 breaks the sum rule on su(3,1) at scale 0.35
+    # (trial 1 sums to 5.6e-3, its ext:2 subset sums to 1.7e-2); at 25
+    # every trial sums to at most 1.3e-8
     code, rec = run_json(["simulate", "--group", "su", "--p", "3", "--q", "1",
-                          "--rep", rep, "--renorm", "50", "--steps", "5000",
-                          "--trials", "8", "--seed", "42"])
+                          "--rep", rep, "--renorm", "50", "--scale", "0.35",
+                          "--steps", "5000", "--trials", "8", "--seed", "42"])
     assert code == 0
     assert rec["payload"]["renorm_interval_used"] == 25
 
