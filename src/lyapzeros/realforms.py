@@ -39,6 +39,11 @@ _RELATION_TOL = 1e-12
 # distinct restricted exterior-power weights above which weights_restricted
 # warns (su(40,8) ext:20 has at most 3^8 = 6,561 and takes about 0.25 s)
 EXTERIOR_WEIGHT_LIMIT = 100_000
+# OpenBLAS runs a GEMM on one thread while M * N * K is at most
+# GEMM_MULTITHREAD_THRESHOLD (4) * 65536 (SMP_THRESHOLD_MIN, interface/gemm.c).
+# Calls kept this small never wake its worker threads, which otherwise spin
+# on the other CPU and slow every call after them.
+_GEMM_SERIAL_MNK = 2 ** 18
 
 
 class Family(Enum):
@@ -480,11 +485,29 @@ def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
 def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
                           count: int) -> np.ndarray:
     """Draw ``count`` random group elements, the scaled Cayley steps
-    cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2)."""
-    nb = sampler.basis.shape[0]
+    cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2).
+
+    X is a real GEMM of the coefficients with the basis viewed as real
+    rows, (nb, d^2) or (nb, 2 d^2), cut into calls of at most
+    ``_GEMM_SERIAL_MNK`` multiply-adds (for nb below that), which BLAS
+    never threads: row blocks, over column panels sqrt(_GEMM_SERIAL_MNK /
+    nb) wide where a row is wider, so that a large basis is not reread for
+    every sample. X equals np.tensordot's result, up to the sign of a zero,
+    which I +- X / 2^(s+1) in the Cayley step erases."""
+    basis = sampler.basis
+    nb = basis.shape[0]
     coeffs = rng.standard_normal((count, nb)) * sampler.scale
-    X = np.tensordot(coeffs, sampler.basis, axes=(1, 0))
-    G = cayley_batch(X)
+    rows = basis.reshape(nb, -1)
+    if np.iscomplexobj(basis):
+        rows = rows.view(basis.real.dtype)
+    X = np.empty((count, rows.shape[1]), rows.dtype)
+    width = min(rows.shape[1], max(1, math.isqrt(_GEMM_SERIAL_MNK // nb)))
+    step = max(1, _GEMM_SERIAL_MNK // (nb * width))
+    for c0 in range(0, rows.shape[1], width):
+        panel = rows[:, c0:c0 + width]
+        for lo in range(0, count, step):
+            np.matmul(coeffs[lo:lo + step], panel, out=X[lo:lo + step, c0:c0 + width])
+    G = cayley_batch(X.view(basis.dtype).reshape((count,) + basis.shape[1:]))
     if not np.isfinite(G).all():
         raise NumericalError("group element overflowed",
                              {"form": sampler.form.label(), "scale": sampler.scale})

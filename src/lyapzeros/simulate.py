@@ -9,7 +9,9 @@ and re-orthonormalized, accumulating log |diag R|. Trials use independent,
 reproducible streams derived from (master_seed, trial index) via numpy's
 SeedSequence, so identical configurations give bit-identical results. The
 trials advance in lockstep, one stacked QR per block over all trials,
-without mixing their arithmetic.
+without mixing their arithmetic; their sampling runs on up to two
+threads, which changes no trial's bits. BLAS thread settings are never
+touched (see ``realforms.sample_group_elements``).
 A spectrum run simulates the standard cocycle only: the exponents of its
 k-th exterior power are the k-subset sums of the standard ones
 (multiplicative ergodic theorem for exterior powers), formed trial by
@@ -25,9 +27,11 @@ returning.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -225,16 +229,39 @@ def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:
     return max(form_preservation_errors(sampler, g).values(), default=0.0)
 
 
+def _sample_trial(sampler: GroupSampler, interval: int, count: int,
+                  rng: np.random.Generator):
+    """One trial's chunk of ``count`` steps: (its blocks of ``interval``
+    steps, max sample form error, max block form error)."""
+    G = sample_group_elements(sampler, rng, count)
+    sample_err = _max_form_error(sampler, G)
+    B = _fold_blocks(G, interval)
+    if not np.isfinite(B).all():
+        raise _CocycleOverflow("block product overflow")
+    return B, sample_err, _max_form_error(sampler, B)
+
+
+def _worker_count(trials: int) -> int:
+    """Trial threads of a run: min(2, usable CPUs, trials)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus, trials)
+
+
 def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
                   rngs: list[np.random.Generator], rep=None):
     """QR scheme for all trials at once, trial j drawing from ``rngs[j]``.
 
-    Each chunk, every trial samples and folds its own blocks; the blocks of
-    all trials are then multiplied into the stacked frames (trials, d, d)
-    with one stacked QR per block, so trial j's result does not depend on
-    the other trials. ``rep``, if given, maps each stacked block to the
-    matrices the frames are multiplied by instead (the direct sums
-    g + Lambda^k g of exterior_consistency_check).
+    Each chunk, every trial samples, checks and folds its own blocks
+    (``_sample_trial``) on one of min(2, usable CPUs, trials) threads, which
+    live for this call only; the blocks of all trials are then multiplied
+    into the stacked frames (trials, d, d) with one stacked QR per block.
+    Trial j's result depends neither on the other trials nor on the thread
+    count, and errors surface in trial order. ``rep``, if given, maps each
+    stacked block to the matrices the frames are multiplied by instead (the
+    direct sums g + Lambda^k g of exterior_consistency_check).
     """
     rep = rep or (lambda B: B)
     eye = rep(np.eye(sampler.matrix_dim, dtype=sampler.basis.dtype))
@@ -243,25 +270,32 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     max_sample_err = 0.0
     max_block_err = 0.0
     seen = 0   # steps consumed so far; accumulation starts after warmup
-
-    for lo, hi in _block_bounds(steps, interval, _CHUNK_TARGET):
-        per_trial = []
-        for rng in rngs:
-            G = sample_group_elements(sampler, rng, hi - lo)
-            max_sample_err = max(max_sample_err, _max_form_error(sampler, G))
-            B = _fold_blocks(G, interval)
-            if not np.isfinite(B).all():
-                raise _CocycleOverflow("block product overflow")
-            max_block_err = max(max_block_err, _max_form_error(sampler, B))
-            per_trial.append(B)
-        for B in np.stack(per_trial, axis=1):    # one block of every trial
-            Q, R = np.linalg.qr(rep(B) @ Q)
-            if seen >= warmup:   # warmup is a multiple of interval
-                logd = np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
-                if not np.isfinite(logd).all():
-                    raise _CocycleOverflow("degenerate QR factor")
-                acc += logd
-            seen += min(interval, steps - seen)
+    workers = _worker_count(len(rngs))
+    pool = None
+    if workers > 1:
+        # imported here, so that callers that never simulate (predict,
+        # classify) do not pay for importing it and logging
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
+    try:
+        for lo, hi in _block_bounds(steps, interval, _CHUNK_TARGET):
+            trial = partial(_sample_trial, sampler, interval, hi - lo)
+            blocks, sample_errs, block_errs = zip(*(pool.map if pool else map)(trial, rngs))
+            max_sample_err = max(max_sample_err, *sample_errs)
+            max_block_err = max(max_block_err, *block_errs)
+            for B in np.stack(blocks, axis=1):    # one block of every trial
+                Q, R = np.linalg.qr(rep(B) @ Q)
+                if seen >= warmup:   # warmup is a multiple of interval
+                    # log 0 reads -inf, refused just below
+                    with np.errstate(divide="ignore"):
+                        logd = np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
+                    if not np.isfinite(logd).all():
+                        raise _CocycleOverflow("degenerate QR factor")
+                    acc += logd
+                seen += min(interval, steps - seen)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return acc / (steps - warmup), max_sample_err, max_block_err
 
 

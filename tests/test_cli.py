@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -247,6 +250,20 @@ class TestSimulate:
         assert code == expect
         err = capsys.readouterr().err
         assert err.startswith("error: scale" if expect == 3 else "numerical error")
+
+    def test_degenerate_qr_prints_only_the_library_message(self):
+        # the log of a zero QR diagonal is refused as a cocycle overflow and
+        # retried; numpy's divide warning must not reach stderr first
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lyapzeros.cli", "simulate", "--group", "su", "--p", "3",
+             "--q", "1", "--scale", "5", "--steps", "2000", "--trials", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("numerical error: trace sum rule violated")
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "777")

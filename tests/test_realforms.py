@@ -317,6 +317,39 @@ class TestSampling:
         with pytest.raises(InternalError, match="signed permutation"):
             lie_algebra_basis(so_split(5))
 
+    @pytest.mark.parametrize("form,count", [
+        (su(2, 1), 5000), (su(3, 1), 5000), (so_star(3), 5000), (sp(2), 5000),
+        (so_split(5), 5000), (su(5, 1), 5000), (so_split(23), 2000), (su(8, 8), 1000),
+    ], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+    def test_combination_is_tensordot_in_unthreaded_calls(self, form, count, monkeypatch):
+        # X = sum c_i B_i is cut into GEMMs OpenBLAS runs on one thread; it
+        # must equal one tensordot in value, and give the same bits after the
+        # Cayley step (only the sign of a zero may differ before it)
+        sampler = lie_algebra_basis(form)
+        calls, combined = [], []
+        matmul, cayley = np.matmul, lz.realforms.cayley_batch
+
+        def spy_matmul(a, b, **kw):
+            calls.append((a.shape, b.shape))
+            return matmul(a, b, **kw)
+
+        def spy_cayley(X):
+            combined.append(X.copy())
+            return cayley(X)
+
+        monkeypatch.setattr(np, "matmul", spy_matmul)
+        monkeypatch.setattr(lz.realforms, "cayley_batch", spy_cayley)
+        g = sample_group_elements(sampler, np.random.default_rng(7), count)
+        monkeypatch.undo()
+
+        coeffs = np.random.default_rng(7).standard_normal((count, len(sampler.basis)))
+        X = np.tensordot(coeffs * sampler.scale, sampler.basis, axes=(1, 0))
+        assert np.array_equal(combined[0], X)
+        assert np.array_equal(g.view(np.uint64), cayley(X).view(np.uint64))
+        assert all(len(a) == len(b) == 2 for a, b in calls)
+        assert max(a[0] * b[1] * a[1] for a, b in calls) <= lz.realforms._GEMM_SERIAL_MNK
+        assert sum(a[0] * b[1] for a, b in calls) == X.size * (2 if sampler.is_complex else 1)
+
     def test_su21_seeded(self):
         sampler = lie_algebra_basis(su(2, 1), scale=0.3)
         g = sample_group_elements(sampler, np.random.default_rng(42), 1)[0]

@@ -1,4 +1,7 @@
+import concurrent.futures
 import dataclasses
+import os
+import threading
 import warnings
 from itertools import combinations
 
@@ -273,6 +276,84 @@ class TestLyapunovSpectrum:
         for row in res.trial_exponents:
             # realified rows count each complex exponent twice
             assert abs(sum(row)) < 1e-3 * lz.simulate._SUM_RULE_TOL
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestTrialThreads:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def counting(workers):
+            made.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+        return made
+
+    @staticmethod
+    def bits(result):
+        record = result.as_record()
+        record.pop("elapsed_seconds", None)
+        return np.array(result.trial_exponents), record
+
+    @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
+    def test_thread_count_does_not_change_the_bits(self, form, monkeypatch, pools):
+        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)   # three chunks
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            runs.append(self.bits(lyapunov_spectrum(quick(form, steps=3000, trials=3))))
+        assert pools == [2]
+        (serial, serial_record), (threaded, threaded_record) = runs
+        assert np.array_equal(serial, threaded)
+        assert serial_record == threaded_record
+
+    def test_thread_count_does_not_change_the_direct_sum_run(self, monkeypatch, pools):
+        records = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            chk = exterior_consistency_check(quick(su(3, 1), steps=3000, trials=3), 2)
+            records.append(chk.as_record())
+        assert pools == [2]
+        assert records[0] == records[1]
+
+    def test_one_cpu_runs_without_a_pool(self, monkeypatch):
+        def refused(workers):
+            raise AssertionError("a one-CPU run created a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+        usable_cpus(monkeypatch, 1)
+        res = lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2))
+        assert res.zero_cluster.status == "ok"
+
+    @pytest.mark.parametrize("cpu_count,workers", [(None, 1), (1, 1), (8, 2)])
+    def test_cpu_count_without_affinity(self, cpu_count, workers, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert lz.simulate._worker_count(8) == workers
+        assert lz.simulate._worker_count(1) == 1
+
+    def test_no_thread_outlives_a_run(self, monkeypatch, pools):
+        usable_cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2))
+        assert threading.active_count() == baseline
+        # an element overflows in a worker (test_overflow_reported's data)
+        with pytest.raises(NumericalError, match="overflowed"):
+            lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=2,
+                                        scale=700.0, renorm_interval=1))
+        assert threading.active_count() == baseline
+        # a degenerate QR factor, a retry at half the interval, then the sum rule
+        with pytest.raises(NumericalError, match="sum rule"):
+            lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2, scale=5.0))
+        assert threading.active_count() == baseline
+        assert pools == [2] * 4
 
 
 class TestEstimateLyapunovVector:
