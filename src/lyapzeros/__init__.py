@@ -19,4 +19,4 @@ from .simulate import (ExteriorConsistencyReport, LyapunovResult, SimConfig,
 from .weights import (RepKind, RepSpec, Weight, WeightMultiset, binomial,
                       k_subsets)
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"

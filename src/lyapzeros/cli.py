@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -113,12 +114,12 @@ def _finite(value, path: str, non_finite: list[str]):
 def _emit(record: dict, fmt: str, out) -> None:
     if fmt == "json":
         try:
-            text = json.dumps(record, indent=2, allow_nan=False)
+            text = json.dumps(record, allow_nan=False)
         except ValueError:      # a non-finite float: null it and name it
             non_finite: list[str] = []
             record = _finite(record, "", non_finite)
             record["non_finite_fields"] = non_finite
-            text = json.dumps(record, indent=2, allow_nan=False)
+            text = json.dumps(record, allow_nan=False)
         out.write(text + "\n")
         return
     _emit_text(record, out)
@@ -182,28 +183,24 @@ def _admissible_rows(max_dim: int) -> list[dict]:
             "that number", RuntimeWarning, stacklevel=2)
     pairs: list[tuple[RealFormSpec, RepSpec]] = []
     # su(p,q) standard: real dimension 2(p+q)
-    s = 2
-    while 2 * s <= max_dim:
+    for s in range(2, max_dim // 2 + 1):
         for q in range(1, s // 2 + 1):
             pairs.append((su(s - q, q), RepSpec.standard()))
-        s += 1
-    # su(p,1) nontrivial exterior powers: real dimension 2 C(p+1, k)
-    p = 2
-    while 2 * (p + 1) <= max_dim:
-        for k in range(2, p + 1):
-            if 2 * binomial(p + 1, k) <= max_dim:
-                pairs.append((su(p, 1), RepSpec.exterior(k)))
-        p += 1
+    # su(p,1) nontrivial exterior powers: real dimension 2 C(p+1, k), the
+    # same for k and p+1-k and growing in k up to the middle
+    for p in range(2, max_dim // 2):
+        k = 1
+        while 2 * k <= p + 1 and 2 * binomial(p + 1, k) <= max_dim:
+            for j in {k, p + 1 - k}:
+                if 2 <= j <= p:
+                    pairs.append((su(p, 1), RepSpec.exterior(j)))
+            k += 1
     # sp(2g,R) standard: real dimension 2g
-    g = 1
-    while 2 * g <= max_dim:
+    for g in range(1, max_dim // 2 + 1):
         pairs.append((sp(g), RepSpec.standard()))
-        g += 1
     # so*(2n) standard: real dimension 4n
-    n = 2
-    while 4 * n <= max_dim:
+    for n in range(2, max_dim // 4 + 1):
         pairs.append((so_star(n), RepSpec.standard()))
-        n += 1
     # so(2n-1,2) spin: real dimension 2^n
     n = 2
     while 2 ** n <= max_dim:
@@ -323,6 +320,7 @@ def cmd_exterior_check(args, out) -> int:
     return EXIT_OK if report.matched else EXIT_MISMATCH
 
 
+@functools.cache   # one parser per process: it holds no run-time state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lyapzeros",

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from operator import sub
 from typing import Iterable, Mapping
 
 from .errors import ParameterError
@@ -239,15 +240,19 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
     """Weights of the k-th exterior power of a representation with weights
     ``base``: the coefficient of t^k in prod_w (1 + t x^w), where a weight
     of multiplicity m contributes sum_b C(m, b) t^b x^(b w) (Fulton-Harris
-    section 15). No subset is enumerated."""
+    section 15). No subset is enumerated. For 2k > n the recurrence runs
+    to degree n - k only: Lambda^k is (Lambda^(n-k))^* (x) det, so its
+    weights are sigma minus those of degree n - k, sigma the weight sum."""
     n = base.total()
     if not 1 <= k <= n:
         raise ParameterError(f"exterior degree {k} out of range 1..{n}")
+    dual, k = 2 * k > n, min(k, n - k)
     # by_degree[j]: doubled coordinates of a j-fold sum -> its multiplicity
     by_degree: list[dict[tuple[int, ...], int]] = [{(0,) * base.rank: 1}]
     by_degree += [{} for _ in range(k)]
+    items = base.items()
     remaining = n
-    for w, m in base.items():
+    for w, m in items:
         remaining -= m
         step = [{} for _ in by_degree]
         for j, sums in enumerate(by_degree):
@@ -260,7 +265,11 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
                     key = tuple(a + s for a, s in zip(v, shift))
                     target[key] = target.get(key, 0) + coeff * count
         by_degree = step
-    return WeightMultiset({Weight(v): c for v, c in by_degree[k].items()})
+    sums = by_degree[k]
+    if dual:
+        sigma = [sum(m * w.doubled[i] for w, m in items) for i in range(base.rank)]
+        sums = {tuple(map(sub, sigma, v)): c for v, c in sums.items()}
+    return WeightMultiset({Weight(v): c for v, c in sums.items()})
 
 
 def exterior_power_bound(base: WeightMultiset, k: int) -> int:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -194,6 +195,32 @@ class TestClassify:
             with pytest.raises(FirstRow):
                 run_cli(["classify", "--max-dim", "1000"])
 
+    @pytest.mark.parametrize("max_dim", [0, 4, 12, 24, 41, 120, 240])
+    def test_su_exterior_rows_are_complete(self, max_dim):
+        # every su(p,1) ext:k, 2 <= k <= p, of real dimension 2 C(p+1, k) <= max_dim
+        want = {(f"su({p},1)", f"ext:{k}") for p in range(2, max_dim) for k in range(2, p + 1)
+                if 2 * math.comb(p + 1, k) <= max_dim}
+        code, rec = run_json(["classify", "--max-dim", str(max_dim)])
+        assert code == 0
+        got = {(r["form"], r["rep"]) for r in rec["payload"]["rows"]
+               if r["rep"].startswith("ext:")}
+        assert got == want
+
+    def test_su_exterior_rows_take_few_binomials(self, monkeypatch):
+        # the rows are found from both ends of each k range; testing every k
+        # in 2..p took 135,818 binomials at --max-dim 1000
+        calls = []
+        real = cli.binomial
+
+        def counting(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(cli, "binomial", counting)
+        code, _ = run_cli(["classify", "--max-dim", "1000", "--format", "json"])
+        assert code == 0
+        assert len(calls) <= 3 * 500
+
     @pytest.mark.parametrize("max_dim", [0, 3, 4, 5, 12, 121, 240, 1000, 2001])
     def test_su_row_count_closed_form(self, max_dim):
         count = sum(s // 2 for s in range(2, max_dim // 2 + 1))
@@ -279,6 +306,40 @@ class TestSimulate:
                               "--seed", "5"])
         assert code == 0
         assert rec["provenance"]["seed"] == 5
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    SIM = ["simulate", "--group", "sp", "--g", "1", "--steps", "500", "--trials", "2"]
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_env_seed_is_read_per_call(self, monkeypatch):
+        for seed in (777, 778):
+            monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+            code, rec = run_json(self.SIM)
+            assert code == 0
+            assert rec["provenance"]["seed"] == seed
+
+    def test_seed_flag_is_not_inherited(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        assert run_json(self.SIM + ["--seed", "5"])[1]["provenance"]["seed"] == 5
+        code, rec = run_json(self.SIM)
+        assert code == 0
+        assert rec["provenance"]["seed"] == 42
+        assert "seed" not in rec["provenance"]["parameters"]
+
+    def test_usage_error_leaves_the_next_call_intact(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["classify", "--max-dim", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, rec = run_json(["classify", "--max-dim", "4"])
+        assert code == 0
+        assert rec["inputs"] == {"max_dim": 4}
+        assert rec["provenance"]["parameters"] == {"subcommand": "classify", "max_dim": 4}
 
 
 class TestVerify:
@@ -383,6 +444,25 @@ def test_sum_rule_failure_exits_1():
     assert code == 1 and text == ""
 
 
+def reject_constant(constant):
+    raise AssertionError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("argv", [
+    SU31_EXT2,
+    ["classify", "--max-dim", "12"],
+    ["simulate", "--group", "sp", "--g", "1", "--steps", "500", "--trials", "2"],
+    ["verify", "--group", "sp", "--g", "1", "--steps", "500", "--trials", "2"],
+    ["exterior-check", "--group", "su", "--p", "2", "--q", "1", "--k", "2",
+     "--steps", "500", "--trials", "2"],
+], ids=lambda argv: argv[0])
+def test_json_is_one_line(argv):
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code in (0, 5)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text, parse_constant=reject_constant)["command"] == argv[0]
+
+
 def test_json_is_strict(monkeypatch):
     real = simulate.lyapunov_spectrum
 
@@ -391,14 +471,12 @@ def test_json_is_strict(monkeypatch):
         return dataclasses.replace(res, max_block_form_error=float("inf"),
                                    exponents=(float("nan"),) + res.exponents[1:])
 
-    def reject(constant):
-        raise AssertionError(f"non-standard JSON constant {constant}")
-
     monkeypatch.setattr(cli, "lyapunov_spectrum", overflowing)
     code, text = run_cli(["simulate", "--group", "sp", "--g", "1", "--steps", "1000",
                           "--trials", "2", "--format", "json"])
     assert code == 0
-    rec = json.loads(text, parse_constant=reject)
+    assert text.endswith("\n") and text.count("\n") == 1
+    rec = json.loads(text, parse_constant=reject_constant)
     assert rec["payload"]["max_block_form_error"] is None
     assert rec["payload"]["exponents_real"][0] is None
     assert rec["non_finite_fields"] == ["payload.exponents_real[0]",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +24,12 @@ def units(n, signs=(1,), zero=False):
 # standard weights of A_r (in r + 1 coordinates) and of B_r, C_r, D_r
 STANDARD = {"A": lambda r: units(r + 1), "B": lambda r: units(r, (1, -1), zero=True),
             "C": lambda r: units(r, (1, -1)), "D": lambda r: units(r, (1, -1))}
+
+
+def subset_sums(base, k):
+    """Brute force: the weight sums of all k-subsets of the expanded base."""
+    return WeightMultiset([Weight(tuple(map(sum, zip(*(w.doubled for w in subset)))))
+                           for subset in combinations(base.expand(), k)])
 
 
 def negation_closed(ms):
@@ -149,9 +156,40 @@ class TestExteriorWeights:
     def test_equals_subset_enumeration(self, series, rank):
         base = STANDARD[series](rank)
         for k in range(1, base.total() + 1):
-            sums = [Weight(tuple(map(sum, zip(*(w.doubled for w in subset)))))
-                    for subset in combinations(base.expand(), k)]
-            assert exterior_power(base, k) == WeightMultiset(sums), k
+            assert exterior_power(base, k) == subset_sums(base, k), k
+
+    def test_duality_shifts_by_the_weight_sum(self):
+        # sigma = 2 f1 + f2 - f1 = f1 + f2 is nonzero, so every k > n/2 checks
+        # the shift of Lambda^k = (Lambda^(n-k))^* (x) det, and k = n gives {sigma}
+        base = WeightMultiset({W(1, 0): 2, W(0, 1): 1, W(-1, 0): 1, W(0, 0): 1})
+        for k in range(1, base.total() + 1):
+            assert exterior_power(base, k) == subset_sums(base, k), k
+        assert exterior_power(base, 5) == WeightMultiset([W(1, 1)])
+
+    def test_recurrence_runs_to_the_smaller_degree(self, monkeypatch):
+        # Lambda^k and Lambda^(n-k) of su(40,1) cost the same binomials
+        calls = []
+        real = math.comb
+
+        def counting(m, b):
+            calls.append((m, b))
+            return real(m, b)
+
+        monkeypatch.setattr(math, "comb", counting)
+        base = weights_restricted(su(40, 1), RepSpec.standard())
+        per_degree = []
+        for k in (3, 38, 1, 40):
+            calls.clear()
+            exterior_power(base, k)
+            per_degree.append(len(calls))
+        assert per_degree[0] == per_degree[1] and per_degree[2] == per_degree[3]
+
+    @pytest.mark.parametrize("p", range(2, 41))
+    def test_su_p1_top_power_is_negated_standard(self, p):
+        # Lambda^p of C^(p+1) is (Lambda^1)^* (x) det, and det restricts to 0
+        top = weights_restricted(su(p, 1), RepSpec.exterior(p))
+        ext1 = weights_restricted(su(p, 1), RepSpec.exterior(1))
+        assert top == WeightMultiset({-w: m for w, m in ext1.items()})
 
     def test_multiplicities_are_binomial(self):
         base = WeightMultiset({W(1, 0): 3, W(0, 1): 1})
