@@ -25,8 +25,6 @@ from .errors import (InternalError, NumericalError, ParameterError,
 from .prediction import predict, predicted_counts
 from .realforms import (EXTERIOR_WEIGHT_LIMIT, RealFormSpec, so_split, so_star,
                         sp, su)
-from .simulate import (SimConfig, exterior_consistency_check, lyapunov_spectrum,
-                       verify_prediction)
 from .weights import RepSpec, binomial
 
 SCHEMA_VERSION = 1
@@ -243,7 +241,8 @@ def cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args):
+    from .simulate import SimConfig   # numpy loads with the first simulation
     seed = args.seed if args.seed is not None else _default_seed()
     form = _parse_form(args)
     pair = {}
@@ -275,6 +274,7 @@ def _dump_trials(fh, result) -> None:
 
 def cmd_simulate(args, out) -> int:
     started = time.perf_counter()
+    from .simulate import lyapunov_spectrum
     config = _sim_config(args)
     with _open_dump(args.dump_trials) as dump:
         result = lyapunov_spectrum(config)
@@ -290,6 +290,7 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     started = time.perf_counter()
+    from .simulate import verify_prediction
     config = _sim_config(args)
     pred = predict(config.form, config.rep)
     with _open_dump(args.dump_trials) as dump:
@@ -310,6 +311,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_exterior_check(args, out) -> int:
     started = time.perf_counter()
+    from .simulate import exterior_consistency_check
     config = _sim_config(args)
     report = exterior_consistency_check(config, args.k)
     rec = _record("exterior-check",

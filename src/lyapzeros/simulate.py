@@ -11,7 +11,7 @@ SeedSequence, so identical configurations give bit-identical results. The
 trials advance in lockstep, one stacked QR per block over all trials,
 without mixing their arithmetic; their sampling runs on up to two
 threads, which changes no trial's bits. BLAS thread settings are never
-touched (see ``realforms.sample_group_elements``).
+touched (see ``matrices.sample_group_elements``).
 A spectrum run simulates the standard cocycle only: the exponents of its
 k-th exterior power are the k-subset sums of the standard ones
 (multiplicative ergodic theorem for exterior powers), formed trial by

@@ -57,19 +57,12 @@ class Weight:
         return sum(c * v for c, v in zip(self.doubled, values)) / 2.0
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.doubled):
-            if c == 0:
-                continue
-            mag = abs(c)
-            term = f"f{i + 1}" if mag == 2 else f"{mag}/2*f{i + 1}" if mag % 2 else f"{mag // 2}*f{i + 1}"
-            parts.append(("-" if c < 0 else "+", term))
-        out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for s, term in parts[1:]:
-            out += f" {s} {term}"
-        return out
+        # " + f1 - 3/2*f2 + 2*f3" in one join, then the leading sign trimmed
+        text = "".join(
+            f" {'-' if c < 0 else '+'} "
+            f"{'' if c in (2, -2) else f'{abs(c)}/2*' if c % 2 else f'{abs(c) // 2}*'}f{i}"
+            for i, c in enumerate(self.doubled, 1) if c)
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _canonical_key(weight: Weight) -> tuple[int, ...]:
@@ -272,18 +265,28 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
     return WeightMultiset({Weight(v): c for v, c in sums.items()})
 
 
+def _leading_sum(column, k: int) -> int:
+    """Sum of the first k values of (value, multiplicity) pairs, in order."""
+    total = 0
+    for value, m in column:
+        if m >= k:
+            return total + k * value
+        total, k = total + m * value, k - m
+    return total
+
+
 def exterior_power_bound(base: WeightMultiset, k: int) -> int:
     """Upper bound on the number of distinct weights of the k-th exterior
     power: each coordinate of a k-fold sum lies between the sums of the k
     smallest and the k largest values of that coordinate, on the lattice
     spanned by the differences of those values. The bound is the product
-    of these per-coordinate counts (3^q for su(p,q), any k >= 2)."""
-    values = [w.doubled for w in base.expand()]
-    bound = 1
-    for column in zip(*values):
-        ordered = sorted(column)
-        lo, hi = sum(ordered[:k]), sum(ordered[-k:])
-        step = math.gcd(*(v - ordered[0] for v in ordered))
+    of these per-coordinate counts (3^q for su(p,q), any k >= 2), read off
+    the distinct weights and their multiplicities."""
+    mults, bound = base._entries.values(), 1
+    for values in zip(*(w.doubled for w in base._entries)):
+        column = sorted(zip(values, mults))
+        lo, hi = _leading_sum(column, k), _leading_sum(reversed(column), k)
+        step = math.gcd(*(v - column[0][0] for v in values))
         if step:
             bound *= (hi - lo) // step + 1
     return bound

@@ -11,8 +11,8 @@ import warnings
 
 import pytest
 
-from lyapzeros import (RepSpec, cli, prediction, realforms, simulate, so_split,
-                       so_star, sp, su)
+from lyapzeros import (RepSpec, cli, matrices, prediction, realforms, simulate,
+                       so_split, so_star, sp, su)
 
 
 def run_cli(argv):
@@ -260,7 +260,6 @@ class TestSimulate:
         def never(config):
             raise AssertionError("the simulation ran")
 
-        monkeypatch.setattr(cli, "lyapunov_spectrum", never)
         monkeypatch.setattr(simulate, "lyapunov_spectrum", never)
         code, _ = run_cli([command, "--group", "sp", "--g", "1", "--steps", "100",
                            "--trials", "2", "--dump-trials",
@@ -415,7 +414,7 @@ def test_exterior_runs_build_no_compound_matrix(pair, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("compound matrix built")
 
-    monkeypatch.setattr(realforms, "exterior_power_matrix", forbidden)
+    monkeypatch.setattr(matrices, "exterior_power_matrix", forbidden)
     monkeypatch.setattr(simulate, "exterior_power_matrix", forbidden)
     _, pred = run_json(["predict", "--group", "su", *pair])
     argv = ["--group", "su", *pair, "--steps", "5000", "--trials", "8", "--seed", "1"]
@@ -471,7 +470,7 @@ def test_json_is_strict(monkeypatch):
         return dataclasses.replace(res, max_block_form_error=float("inf"),
                                    exponents=(float("nan"),) + res.exponents[1:])
 
-    monkeypatch.setattr(cli, "lyapunov_spectrum", overflowing)
+    monkeypatch.setattr(simulate, "lyapunov_spectrum", overflowing)
     code, text = run_cli(["simulate", "--group", "sp", "--g", "1", "--steps", "1000",
                           "--trials", "2", "--format", "json"])
     assert code == 0

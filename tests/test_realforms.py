@@ -288,11 +288,11 @@ class TestSampling:
                              ids=lambda f: f.label())
     def test_sliced_check_equals_whole_check(self, form, monkeypatch):
         sampler = lie_algebra_basis(form)
-        n = 2 * lz.realforms._SLICE + 100
+        n = 2 * lz.matrices._SLICE + 100
         g = sample_group_elements(sampler, np.random.default_rng(3), n)
         g[n - 50] *= 1.001          # the worst matrix sits in the last slice
         sliced = form_preservation_errors(sampler, g)
-        monkeypatch.setattr(lz.realforms, "_SLICE", n)
+        monkeypatch.setattr(lz.matrices, "_SLICE", n)
         assert form_preservation_errors(sampler, g) == sliced
         assert min(sliced.values()) > 1e-3
 
@@ -307,13 +307,13 @@ class TestSampling:
     def test_dense_form_is_refused(self, monkeypatch):
         # the form check gathers rows, so every declared form must be a
         # signed permutation
-        real = lz.realforms._so_form
+        real = lz.matrices._so_form
 
         def dense(d):
             O = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))[0]
             return O @ real(d) @ O.T
 
-        monkeypatch.setattr(lz.realforms, "_so_form", dense)
+        monkeypatch.setattr(lz.matrices, "_so_form", dense)
         with pytest.raises(InternalError, match="signed permutation"):
             lie_algebra_basis(so_split(5))
 
@@ -327,7 +327,7 @@ class TestSampling:
         # Cayley step (only the sign of a zero may differ before it)
         sampler = lie_algebra_basis(form)
         calls, combined = [], []
-        matmul, cayley = np.matmul, lz.realforms.cayley_batch
+        matmul, cayley = np.matmul, lz.matrices.cayley_batch
 
         def spy_matmul(a, b, **kw):
             calls.append((a.shape, b.shape))
@@ -338,7 +338,7 @@ class TestSampling:
             return cayley(X)
 
         monkeypatch.setattr(np, "matmul", spy_matmul)
-        monkeypatch.setattr(lz.realforms, "cayley_batch", spy_cayley)
+        monkeypatch.setattr(lz.matrices, "cayley_batch", spy_cayley)
         g = sample_group_elements(sampler, np.random.default_rng(7), count)
         monkeypatch.undo()
 
@@ -347,7 +347,7 @@ class TestSampling:
         assert np.array_equal(combined[0], X)
         assert np.array_equal(g.view(np.uint64), cayley(X).view(np.uint64))
         assert all(len(a) == len(b) == 2 for a, b in calls)
-        assert max(a[0] * b[1] * a[1] for a, b in calls) <= lz.realforms._GEMM_SERIAL_MNK
+        assert max(a[0] * b[1] * a[1] for a, b in calls) <= lz.matrices._GEMM_SERIAL_MNK
         assert sum(a[0] * b[1] for a, b in calls) == X.size * (2 if sampler.is_complex else 1)
 
     def test_su21_seeded(self):

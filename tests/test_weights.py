@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lyapzeros import (ParameterError, RepSpec, Weight, WeightMultiset, binomial,
                        so_split, sp, su, weights_restricted)
-from lyapzeros.weights import exterior_power
+from lyapzeros.weights import exterior_power, exterior_power_bound
 
 
 def W(*coords):
@@ -66,6 +66,17 @@ class TestWeight:
         assert str(W(2, 0)) == "2*f1"
         assert str(Weight((1, -1))) == "1/2*f1 - 1/2*f2"
         assert str(Weight((-3, 1))) == "-3/2*f1 + 1/2*f2"
+
+    @pytest.mark.parametrize("doubled,text", [
+        ((0,), "0"), ((0, 0, 0), "0"),
+        ((2,), "f1"), ((-2,), "-f1"), ((0, 0, 2), "f3"), ((0, -2, 0), "-f2"),
+        ((4, -6), "2*f1 - 3*f2"), ((0, -8, 20), "-4*f2 + 10*f3"),
+        ((1,), "1/2*f1"), ((-1, 0, 3), "-1/2*f1 + 3/2*f3"), ((0, 5, -7), "5/2*f2 - 7/2*f3"),
+        ((-2, 2, -2, 2), "-f1 + f2 - f3 + f4"),
+        ((-3, -4, 2, 1, 0, -2), "-3/2*f1 - 2*f2 + f3 + 1/2*f4 - f6"),
+    ])
+    def test_str_pinned(self, doubled, text):
+        assert str(Weight(doubled)) == text
 
 
 class TestWeightMultiset:
@@ -273,3 +284,24 @@ def test_exterior_negation_closure_property(rank, k):
     base = STANDARD["C"](rank)
     k = min(k, base.total())
     assert negation_closed(exterior_power(base, k))
+
+
+def bound_by_sorting(base, k):
+    """The expand-and-sort formula that exterior_power_bound computes."""
+    bound = 1
+    for column in zip(*(w.doubled for w in base.expand())):
+        ordered = sorted(column)
+        step = math.gcd(*(v - ordered[0] for v in ordered))
+        if step:
+            bound *= (sum(ordered[-k:]) - sum(ordered[:k])) // step + 1
+    return bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.integers(1, 4).flatmap(lambda rank: st.dictionaries(
+           st.tuples(*[st.integers(-5, 5)] * rank), st.integers(1, 4),
+           min_size=1, max_size=8)),
+       k=st.integers(1, 12))
+def test_exterior_power_bound_matches_sorting(entries, k):
+    base = WeightMultiset({Weight(v): m for v, m in entries.items()})
+    assert exterior_power_bound(base, k) == bound_by_sorting(base, k)
