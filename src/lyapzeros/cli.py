@@ -1,6 +1,10 @@
 """Command-line front end: predictions, classification tables, simulation
 runs, and verification reports.
 
+Each ``cmd_*`` function only computes: it returns (inputs, payload, seed,
+exit code). ``main`` times the command and assembles every record, with
+its envelope (schema version, command name, provenance), and writes it.
+
 Exit codes: 0 success / match, 1 internal or numerical error, 2 usage
 error, 3 incoherent or unsupported pair, 4 verification mismatch, 5
 inconclusive verdict.
@@ -9,7 +13,6 @@ inconclusive verdict.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import json
@@ -90,11 +93,6 @@ def _parse_form(args) -> RealFormSpec:
     return sp(args.g)
 
 
-def _record(command: str, inputs: dict, payload: dict, provenance: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "inputs": inputs, "payload": payload, "provenance": provenance}
-
-
 def _finite(value, path: str, non_finite: list[str]):
     """``value`` with every non-finite float replaced by None; the dotted
     paths of the replaced entries are appended to ``non_finite``."""
@@ -145,24 +143,18 @@ def _emit_text(record: dict, out) -> None:
         print(f"{key}: {value}", file=out)
 
 
-def _provenance(args, started: float, seed: int | None = None) -> dict:
+def _provenance(args, started: float, seed: int | None) -> dict:
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "format") and v is not None}
     return {"seed": seed, "parameters": params,
             "wall_clock_seconds": round(time.perf_counter() - started, 6)}
 
 
-def cmd_predict(args, out) -> int:
-    started = time.perf_counter()
+def cmd_predict(args):
     form = _parse_form(args)
     rep = RepSpec.parse(args.rep)
-    pred = predict(form, rep)
-    payload = pred.as_record()
-    rec = _record("predict", {"group": args.group, "form": form.label(),
-                              "rep": rep.label()},
-                  payload, _provenance(args, started))
-    _emit(rec, args.format, out)
-    return EXIT_OK
+    return ({"group": args.group, "form": form.label(), "rep": rep.label()},
+            predict(form, rep).as_record(), None, EXIT_OK)
 
 
 def _su_standard_row_count(max_dim: int) -> int:
@@ -217,8 +209,6 @@ def _admissible_rows(max_dim: int) -> list[dict]:
             raise InternalError(f"classify listed the inadmissible pair "
                                 f"{form.label()} {rep.label()}")
         real_dim, zero_count = predicted_counts(form, rep)
-        if real_dim > max_dim:
-            continue
         rows.append({
             "form": form.label(),
             "rep": rep.label(),
@@ -229,16 +219,12 @@ def _admissible_rows(max_dim: int) -> list[dict]:
     return rows
 
 
-def cmd_classify(args, out) -> int:
-    started = time.perf_counter()
+def cmd_classify(args):
     if args.max_dim < 0:
         raise ParameterError("--max-dim must be nonnegative")
-    rows = _admissible_rows(args.max_dim)
-    payload = {"rows": rows, "note": "counts are real counts"}
-    rec = _record("classify", {"max_dim": args.max_dim}, payload,
-                  _provenance(args, started))
-    _emit(rec, args.format, out)
-    return EXIT_OK
+    return ({"max_dim": args.max_dim},
+            {"rows": _admissible_rows(args.max_dim), "note": "counts are real counts"},
+            None, EXIT_OK)
 
 
 def _sim_config(args):
@@ -253,73 +239,56 @@ def _sim_config(args):
                      master_seed=seed, **pair)
 
 
-def _open_dump(path: str | None):
-    """The --dump-trials file, opened before the run so that an unwritable
-    path costs no simulation; a null context when there is no path."""
+def _dump_trials(path: str | None, result=None) -> None:
+    """Check before the run that the --dump-trials ``path`` can be written
+    (opening it to append truncates nothing, and a file the check made is
+    removed), or, given the run's ``result``, write its per-trial exponents
+    there as CSV. A failed run thus changes no file."""
     if not path:
-        return contextlib.nullcontext()
+        return
     try:
-        return open(path, "w", newline="")
+        made = not os.path.exists(path)
+        with open(path, "w" if result else "a", newline="") as fh:
+            if result:
+                header = [f"lambda_{i + 1}" for i in range(len(result.exponents))]
+                csv.writer(fh).writerows([["trial", *header]] + [
+                    [t, *row] for t, row in enumerate(result.trial_exponents)])
+        if made and not result:
+            os.remove(path)
     except OSError as exc:
         raise ParameterError(f"cannot write --dump-trials file: {exc}") from None
 
 
-def _dump_trials(fh, result) -> None:
-    writer = csv.writer(fh)
-    width = len(result.exponents)
-    writer.writerow(["trial"] + [f"lambda_{i + 1}" for i in range(width)])
-    for t, row in enumerate(result.trial_exponents):
-        writer.writerow([t] + list(row))
-
-
-def cmd_simulate(args, out) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args):
     from .simulate import lyapunov_spectrum
     config = _sim_config(args)
-    with _open_dump(args.dump_trials) as dump:
-        result = lyapunov_spectrum(config)
-        if dump:
-            _dump_trials(dump, result)
-    rec = _record("simulate",
-                  {"form": config.form.label(), "rep": config.rep.label()},
-                  result.as_record(),
-                  _provenance(args, started, seed=config.master_seed))
-    _emit(rec, args.format, out)
-    return EXIT_OK
+    _dump_trials(args.dump_trials)
+    result = lyapunov_spectrum(config)
+    _dump_trials(args.dump_trials, result)
+    return ({"form": config.form.label(), "rep": config.rep.label()},
+            result.as_record(), config.master_seed, EXIT_OK)
 
 
-def cmd_verify(args, out) -> int:
-    started = time.perf_counter()
+_VERDICT_EXIT = {"match": EXIT_OK, "mismatch": EXIT_MISMATCH, "inconclusive": EXIT_INCONCLUSIVE}
+
+
+def cmd_verify(args):
     from .simulate import verify_prediction
     config = _sim_config(args)
     pred = predict(config.form, config.rep)
-    with _open_dump(args.dump_trials) as dump:
-        report = verify_prediction(config, pred)
-        if dump:
-            _dump_trials(dump, report.result)
-    rec = _record("verify",
-                  {"form": config.form.label(), "rep": config.rep.label()},
-                  report.as_record(),
-                  _provenance(args, started, seed=config.master_seed))
-    _emit(rec, args.format, out)
-    if report.verdict == "match":
-        return EXIT_OK
-    if report.verdict == "mismatch":
-        return EXIT_MISMATCH
-    return EXIT_INCONCLUSIVE
+    _dump_trials(args.dump_trials)
+    report = verify_prediction(config, pred)
+    _dump_trials(args.dump_trials, report.result)
+    return ({"form": config.form.label(), "rep": config.rep.label()},
+            report.as_record(), config.master_seed, _VERDICT_EXIT[report.verdict])
 
 
-def cmd_exterior_check(args, out) -> int:
-    started = time.perf_counter()
+def cmd_exterior_check(args):
     from .simulate import exterior_consistency_check
     config = _sim_config(args)
     report = exterior_consistency_check(config, args.k)
-    rec = _record("exterior-check",
-                  {"form": config.form.label(), "k": args.k},
-                  report.as_record(),
-                  _provenance(args, started, seed=config.master_seed))
-    _emit(rec, args.format, out)
-    return EXIT_OK if report.matched else EXIT_MISMATCH
+    return ({"form": config.form.label(), "k": args.k}, report.as_record(),
+            config.master_seed, EXIT_OK if report.matched else EXIT_MISMATCH)
 
 
 @functools.cache   # one parser per process: it holds no run-time state
@@ -366,11 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args, out)
+        inputs, payload, seed, code = args.func(args)
     except (ParameterError, UnsupportedFeatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOHERENT
@@ -380,6 +348,11 @@ def main(argv=None, out=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    record = {"schema_version": SCHEMA_VERSION, "command": args.subcommand,
+              "inputs": inputs, "payload": payload,
+              "provenance": _provenance(args, started, seed)}
+    _emit(record, args.format, out if out is not None else sys.stdout)
+    return code
 
 
 def run() -> None:

@@ -16,7 +16,9 @@ from .weights import (RepKind, RepSpec, Weight, WeightMultiset, exterior_power,
                       exterior_power_bound)
 
 # distinct restricted exterior-power weights above which weights_restricted
-# warns (su(40,8) ext:20 has at most 3^8 = 6,561 and takes about 0.25 s)
+# warns (su(40,8) ext:20 has at most 3^8 = 6,561 and takes about 0.25 s);
+# also the warning bound on what one run forms per trial in ``simulate``
+# and on the rows of a ``classify`` table
 EXTERIOR_WEIGHT_LIMIT = 100_000
 
 

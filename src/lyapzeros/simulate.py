@@ -544,12 +544,20 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
     are a standard run and the rest a compound run on the same samples,
     each under its own sum rule. Tolerance: max(0.05 * lambda_max, 3 *
     (stderr of the trials' subset sums + stderr of the direct exponent)).
+    The frames are dense, (d + C(d, k))^2 entries per trial for d =
+    matrix_dim: a RuntimeWarning comes first above EXTERIOR_WEIGHT_LIMIT.
     """
     if config.form.family not in (Family.SU, Family.SO_STAR):
         raise UnsupportedFeatureError(
             "exterior consistency check applies to the su and so* families")
     cfg = replace(config, rep=RepSpec.standard())
     d = config.form.matrix_dim
+    entries = (d + binomial(d, k)) ** 2
+    if entries > EXTERIOR_WEIGHT_LIMIT:
+        warnings.warn(
+            f"exterior-check on {config.form.label()} k={k} forms dense frames of "
+            f"{entries:,} entries per trial (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
+            "time and memory grow with that number", RuntimeWarning, stacklevel=2)
 
     def direct_sum(B):   # diag(B, Lambda^k B) of each stacked block
         C = exterior_power_matrix(B, k)

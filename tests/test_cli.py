@@ -13,6 +13,7 @@ import pytest
 
 from lyapzeros import (RepSpec, cli, matrices, prediction, realforms, simulate,
                        so_split, so_star, sp, su)
+from lyapzeros.errors import NumericalError
 
 
 def run_cli(argv):
@@ -205,6 +206,7 @@ class TestClassify:
         got = {(r["form"], r["rep"]) for r in rec["payload"]["rows"]
                if r["rep"].startswith("ext:")}
         assert got == want
+        assert all(r["real_dim"] <= max_dim for r in rec["payload"]["rows"])
 
     def test_su_exterior_rows_take_few_binomials(self, monkeypatch):
         # the rows are found from both ends of each k range; testing every k
@@ -266,6 +268,41 @@ class TestSimulate:
                            str(tmp_path / "missing" / "trials.csv")])
         assert code == 3
         assert "--dump-trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_failed_run_changes_no_dump_file(self, command, existing, tmp_path,
+                                             monkeypatch, capsys):
+        def failing(config):
+            raise NumericalError("forced", {})
+
+        monkeypatch.setattr(simulate, "lyapunov_spectrum", failing)
+        path = tmp_path / "trials.csv"
+        if existing:
+            path.write_text("sentinel\n")
+        code, text = run_cli([command, "--group", "sp", "--g", "1", "--steps", "100",
+                              "--trials", "2", "--dump-trials", str(path)])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err.startswith("numerical error: forced")
+        if existing:
+            assert path.read_text() == "sentinel\n"
+        else:
+            assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_failed_dump_write_exit3(self, command, tmp_path, monkeypatch, capsys):
+        class FullDisk:
+            def writerows(self, rows):
+                raise OSError(28, "No space left on device")
+
+            writerow = writerows
+
+        monkeypatch.setattr(cli.csv, "writer", lambda fh: FullDisk())
+        code, text = run_cli([command, "--group", "sp", "--g", "1", "--steps", "500",
+                              "--trials", "2", "--dump-trials", str(tmp_path / "t.csv")])
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err == ("error: cannot write --dump-trials file: "
+                                           "[Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("scale,expect", [("-1", 3), ("nan", 3), ("inf", 3), ("1e300", 1)])
@@ -455,11 +492,16 @@ def reject_constant(constant):
     ["exterior-check", "--group", "su", "--p", "2", "--q", "1", "--k", "2",
      "--steps", "500", "--trials", "2"],
 ], ids=lambda argv: argv[0])
-def test_json_is_one_line(argv):
+def test_json_is_one_line(argv, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     code, text = run_cli(argv + ["--format", "json"])
     assert code in (0, 5)
     assert text.endswith("\n") and text.count("\n") == 1
-    assert json.loads(text, parse_constant=reject_constant)["command"] == argv[0]
+    rec = json.loads(text, parse_constant=reject_constant)
+    assert list(rec) == ["schema_version", "command", "inputs", "payload", "provenance"]
+    assert rec["command"] == argv[0]
+    assert list(rec["provenance"]) == ["seed", "parameters", "wall_clock_seconds"]
+    assert rec["provenance"]["seed"] == (None if argv[0] in ("predict", "classify") else 42)
 
 
 def test_json_is_strict(monkeypatch):

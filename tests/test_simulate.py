@@ -459,6 +459,25 @@ class TestExteriorConsistency:
         assert chk.matched
         assert calls == [1000] * (3 * 3)
 
+    def test_large_check_warns_before_sampling(self, monkeypatch):
+        # su(6,6) k=6 forms dense frames of (12 + C(12,6))^2 = 876,096 entries;
+        # su(5,5) k=5 (68,644) and su(5,1) k=3 (676) stay below the limit
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lz.simulate, "_run_with_retry", sampled)
+        with pytest.warns(RuntimeWarning, match="876,096 entries per trial"):
+            with pytest.raises(Sampled):
+                exterior_consistency_check(quick(su(6, 6)), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form, k in ((su(5, 5), 5), (su(5, 1), 3)):
+                with pytest.raises(Sampled):
+                    exterior_consistency_check(quick(form), k)
+
     def test_sum_rule_gates_each_summand(self, monkeypatch):
         # shifting the standard and the compound summand by opposite amounts
         # keeps each trial's row total but breaks both summands' sum rules
