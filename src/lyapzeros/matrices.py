@@ -13,6 +13,11 @@ so*(2n)      complex 2n x 2n, the intersection of the unitary algebra of
              [[A, B], [B^T, conj(A)]] with A antisymmetric and B
              anti-hermitian.
 sp(2g,R)     real 2g x 2g with the symplectic form [[0, I], [-I, 0]].
+
+A Lie algebra basis is stored as index tables, not as a dense
+(algebra_dim, d, d) array of about 16 d^4 bytes: every basis element has at
+most four nonzero real coordinates, each +-1, and every real coordinate at
+most two terms (``_index_tables``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -29,39 +34,23 @@ from .errors import InternalError, NumericalError, ParameterError
 from .realforms import Family, RealFormSpec
 
 _RELATION_TOL = 1e-12
-# OpenBLAS runs a GEMM on one thread while M * N * K is at most
-# GEMM_MULTITHREAD_THRESHOLD (4) * 65536 (SMP_THRESHOLD_MIN, interface/gemm.c).
-# Calls kept this small never wake its worker threads, which otherwise spin
-# on the other CPU and slow every call after them.
-_GEMM_SERIAL_MNK = 2 ** 18
+# real coordinates of X gathered per block: the block's two term layers,
+# 256 KiB, stay in a core's L2 cache
+_GATHER_BLOCK = 2 ** 14
 
 
-def _unit(d, j, k, val, dtype):
-    m = np.zeros((d, d), dtype=dtype)
-    m[j, k] = val
-    return m
-
-
-def _su_basis(p: int, q: int) -> np.ndarray:
+def _su_elements(p: int, q: int) -> list:
     n = p + q
-    out = []
     # traceless imaginary diagonals (adjacent differences)
-    for j in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1j
-        m[j + 1, j + 1] = -1j
-        out.append(m)
+    out = [[(j, j, 1j), (j + 1, j + 1, -1j)] for j in range(n - 1)]
     # anti-hermitian within each definite block
     for block in (range(p), range(p, n)):
         for j, k in combinations(block, 2):
-            out.append(_unit(n, j, k, 1, complex) - _unit(n, k, j, 1, complex))
-            out.append(_unit(n, j, k, 1j, complex) + _unit(n, k, j, 1j, complex))
+            out += [[(j, k, 1), (k, j, -1)], [(j, k, 1j), (k, j, 1j)]]
     # hermitian cross-block terms
-    for j in range(p):
-        for k in range(p, n):
-            out.append(_unit(n, j, k, 1, complex) + _unit(n, k, j, 1, complex))
-            out.append(_unit(n, j, k, 1j, complex) - _unit(n, k, j, 1j, complex))
-    return np.stack(out)
+    for j, k in product(range(p), range(p, n)):
+        out += [[(j, k, 1), (k, j, 1)], [(j, k, 1j), (k, j, -1j)]]
+    return out
 
 
 def _so_form(d: int) -> np.ndarray:
@@ -72,53 +61,33 @@ def _so_form(d: int) -> np.ndarray:
     return Q
 
 
-def _so_basis(d: int) -> np.ndarray:
-    # X^T Q + Q X = 0  <=>  X = Q S with S skew (Q is its own inverse)
-    Q = _so_form(d)
+def _so_elements(d: int) -> list:
+    # X^T Q + Q X = 0  <=>  X = Q S with S skew (Q is its own inverse). Q is
+    # symmetric, Q[c_j, j] = w_j, so Q S moves entry (j, k) of S to row c_j
+    c, w = _signed_permutation(_so_form(d))
+    return [[(c[j], k, w[j]), (c[k], j, -w[k])] for j, k in combinations(range(d), 2)]
+
+
+def _so_star_elements(n: int) -> list:
+    # [[A, B], [B^T, conj(A)]], A antisymmetric, B anti-hermitian; a, b
+    # index the second block
     out = []
-    for j, k in combinations(range(d), 2):
-        S = _unit(d, j, k, 1.0, float) - _unit(d, k, j, 1.0, float)
-        out.append(Q @ S)
-    return np.stack(out)
-
-
-def _so_star_basis(n: int) -> np.ndarray:
-    d = 2 * n
-    out = []
-
-    def embed(A, B):
-        X = np.zeros((d, d), dtype=complex)
-        X[:n, :n] = A
-        X[:n, n:] = B
-        X[n:, :n] = B.T
-        X[n:, n:] = np.conj(A)
-        return X
-
-    zero = np.zeros((n, n), dtype=complex)
     for j, k in combinations(range(n), 2):
-        A = _unit(n, j, k, 1, complex) - _unit(n, k, j, 1, complex)
-        out.append(embed(A, zero))
-        out.append(embed(1j * A, zero))
-        B = _unit(n, j, k, 1, complex) - _unit(n, k, j, 1, complex)
-        out.append(embed(zero, B))
-        B = _unit(n, j, k, 1j, complex) + _unit(n, k, j, 1j, complex)
-        out.append(embed(zero, B))
-    for j in range(n):
-        out.append(embed(zero, _unit(n, j, j, 1j, complex)))
-    return np.stack(out)
+        a, b = n + j, n + k
+        out.append([(j, k, 1), (k, j, -1), (a, b, 1), (b, a, -1)])          # A real
+        out.append([(j, k, 1j), (k, j, -1j), (a, b, -1j), (b, a, 1j)])      # A imaginary
+        out.append([(j, b, 1), (k, a, -1), (b, j, 1), (a, k, -1)])          # B real
+        out.append([(j, b, 1j), (k, a, 1j), (b, j, 1j), (a, k, 1j)])        # B imaginary
+    out += [[(j, n + j, 1j), (n + j, j, 1j)] for j in range(n)]            # B diagonal
+    return out
 
 
-def _sp_basis(g: int) -> np.ndarray:
-    d = 2 * g
-    omega = _sp_form(g)
-    omega_inv = -omega
-    out = []
-    for j in range(d):
-        out.append(omega_inv @ _unit(d, j, j, 1.0, float))
-    for j, k in combinations(range(d), 2):
-        S = _unit(d, j, k, 1.0, float) + _unit(d, k, j, 1.0, float)
-        out.append(omega_inv @ S)
-    return np.stack(out)
+def _sp_elements(g: int) -> list:
+    # X = omega^-1 S with S symmetric. omega^-1 = omega^T has omega[j, c_j]
+    # = w_j at (c_j, j), so it moves entry (j, k) of S to row c_j
+    c, w = _signed_permutation(_sp_form(g))
+    return ([[(c[j], j, w[j])] for j in range(2 * g)]
+            + [[(c[j], k, w[j]), (c[k], j, w[k])] for j, k in combinations(range(2 * g), 2)])
 
 
 def _sp_form(g: int) -> np.ndarray:
@@ -129,29 +98,65 @@ def _sp_form(g: int) -> np.ndarray:
     return omega
 
 
+def _index_tables(elements: list, d: int, is_complex: bool):
+    """(index, sign) of shape (2, D): real coordinate t of sum_i c_i B_i, in
+    a (complex) d x d array's float view, is sum_l sign[l, t] c[index[l, t]],
+    B_i having the entries (row, column, +-1 or +-1j) of ``elements[i]``."""
+    width = 2 if is_complex else 1
+    index = [[0] * (width * d * d) for _ in range(2)]
+    sign = [[0.0] * (width * d * d) for _ in range(2)]
+    for i, entries in enumerate(elements):
+        for r, c, v in entries:
+            t = width * (r * d + c) + (v.imag != 0)
+            layer = 0 if sign[0][t] == 0 else 1
+            if sign[layer][t] != 0:
+                raise InternalError("a matrix coordinate has over two basis terms")
+            index[layer][t], sign[layer][t] = i, v.real + v.imag
+    return np.array(index, dtype=np.intp), np.array(sign)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupSampler:
     """Matrix realization of a real form plus its random-walk step law.
 
-    ``basis`` has shape (algebra_dim, d, d); a step is the scaled Cayley
-    step of X = sum c_i B_i (``_expm.cayley_batch``), close to exp(X), with
-    i.i.d. gaussian coefficients c_i of standard deviation ``scale``.
-    ``forms`` maps "hermitian", "symmetric" or "symplectic" to the invariant
-    forms the group preserves.
+    A step is the scaled Cayley step of X = sum c_i B_i (``_expm.cayley_batch``),
+    close to exp(X), with i.i.d. gaussian coefficients c_i of standard
+    deviation ``scale``; X is gathered from them through the index tables of
+    the basis (``_index_tables``). ``forms`` maps "hermitian", "symmetric"
+    or "symplectic" to the invariant forms the group preserves.
     """
 
     form: RealFormSpec
-    basis: np.ndarray
+    index: np.ndarray
+    sign: np.ndarray
     scale: float
     forms: dict[str, np.ndarray]
 
     @property
     def matrix_dim(self) -> int:
-        return self.basis.shape[-1]
+        return self.form.matrix_dim
 
     @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.basis)
+    def dtype(self) -> np.dtype:
+        return np.dtype(complex if self.form.is_complex_family else float)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense (algebra_dim, d, d) basis the tables stand for, about
+        16 d^4 bytes; for reference checks, not for sampling."""
+        return _combine(self, np.eye(self.form.algebra_dim))
+
+
+def _combine(sampler: GroupSampler, coeffs: np.ndarray) -> np.ndarray:
+    """The (count, d, d) stack of X = sum_i c_i B_i over the rows c of ``coeffs``."""
+    count, width = len(coeffs), sampler.index.shape[1]
+    X = np.empty((count, width))
+    rows = max(1, _GATHER_BLOCK // width)
+    for lo in range(0, count, rows):
+        terms = coeffs[lo:lo + rows, sampler.index]    # (rows, 2, width)
+        terms *= sampler.sign
+        np.add(terms[:, 0], terms[:, 1], out=X[lo:lo + rows])
+    return X.view(sampler.dtype).reshape((count,) + (sampler.matrix_dim,) * 2)
 
 
 def _relation_residual(sampler: GroupSampler, X: np.ndarray) -> float:
@@ -164,38 +169,35 @@ def _relation_residual(sampler: GroupSampler, X: np.ndarray) -> float:
 
 
 def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
-    """Real basis of the Lie algebra in its standard matrix realization.
-
-    The basis cardinality equals the real dimension of the algebra and
-    every element is checked against the defining relations on
-    construction.
-    """
+    """Real basis of the Lie algebra in its standard matrix realization, as
+    the index tables of a GroupSampler. The element count is checked against
+    the real dimension of the algebra, and one random combination of all
+    elements against the defining relations."""
     if not math.isfinite(scale) or scale < 0:
         raise ParameterError("scale must be finite and nonnegative")
-    fam = form.family
-    if fam is Family.SU:
+    if form.family is Family.SU:
         H = np.diag([1.0] * form.p + [-1.0] * form.q).astype(complex)
-        basis, forms = _su_basis(form.p, form.q), {"hermitian": H}
-    elif fam in (Family.SO_ODD, Family.SO_EVEN):
+        elements, forms = _su_elements(form.p, form.q), {"hermitian": H}
+    elif form.family in (Family.SO_ODD, Family.SO_EVEN):
         d = form.matrix_dim
-        basis, forms = _so_basis(d), {"symmetric": _so_form(d)}
-    elif fam is Family.SO_STAR:
+        elements, forms = _so_elements(d), {"symmetric": _so_form(d)}
+    elif form.family is Family.SO_STAR:
         n = form.n
-        H = np.zeros((2 * n, 2 * n), dtype=complex)
-        H[:n, n:] = np.eye(n)
-        H[n:, :n] = np.eye(n)
+        H = np.kron([[0, 1], [1, 0]], np.eye(n)).astype(complex)
         S = np.diag([1.0] * n + [-1.0] * n).astype(complex)
-        basis, forms = _so_star_basis(n), {"hermitian": H, "symmetric": S}
+        elements, forms = _so_star_elements(n), {"hermitian": H, "symmetric": S}
     else:
-        basis, forms = _sp_basis(form.g), {"symplectic": _sp_form(form.g)}
-    sampler = GroupSampler(form, basis, scale, forms)
+        elements, forms = _sp_elements(form.g), {"symplectic": _sp_form(form.g)}
     for F in forms.values():
         _signed_permutation(F)
-    if sampler.basis.shape[0] != form.algebra_dim:
+    if len(elements) != form.algebra_dim:
         raise NumericalError("basis cardinality disagrees with the algebra dimension",
-                             {"form": form.label(), "built": sampler.basis.shape[0],
+                             {"form": form.label(), "built": len(elements),
                               "expected": form.algebra_dim})
-    worst = max(_relation_residual(sampler, X) for X in sampler.basis)
+    sampler = GroupSampler(form, *_index_tables(elements, form.matrix_dim,
+                                                form.is_complex_family), scale, forms)
+    coeffs = np.random.default_rng(0).standard_normal((1, form.algebra_dim))
+    worst = _relation_residual(sampler, _combine(sampler, coeffs)[0])
     if worst > _RELATION_TOL:
         raise NumericalError("basis violates the defining relations",
                              {"form": form.label(), "residual": worst})
@@ -205,29 +207,13 @@ def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
 def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
                           count: int) -> np.ndarray:
     """Draw ``count`` random group elements, the scaled Cayley steps
-    cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2).
-
-    X is a real GEMM of the coefficients with the basis viewed as real
-    rows, (nb, d^2) or (nb, 2 d^2), cut into calls of at most
-    ``_GEMM_SERIAL_MNK`` multiply-adds (for nb below that), which BLAS
-    never threads: row blocks, over column panels sqrt(_GEMM_SERIAL_MNK /
-    nb) wide where a row is wider, so that a large basis is not reread for
-    every sample. X equals np.tensordot's result, up to the sign of a zero,
-    which I +- X / 2^(s+1) in the Cayley step erases."""
-    basis = sampler.basis
-    nb = basis.shape[0]
-    coeffs = rng.standard_normal((count, nb)) * sampler.scale
-    rows = basis.reshape(nb, -1)
-    if np.iscomplexobj(basis):
-        rows = rows.view(basis.real.dtype)
-    X = np.empty((count, rows.shape[1]), rows.dtype)
-    width = min(rows.shape[1], max(1, math.isqrt(_GEMM_SERIAL_MNK // nb)))
-    step = max(1, _GEMM_SERIAL_MNK // (nb * width))
-    for c0 in range(0, rows.shape[1], width):
-        panel = rows[:, c0:c0 + width]
-        for lo in range(0, count, step):
-            np.matmul(coeffs[lo:lo + step], panel, out=X[lo:lo + step, c0:c0 + width])
-    G = cayley_batch(X.view(basis.dtype).reshape((count,) + basis.shape[1:]))
+    cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2), with s
+    set by the largest 1-norm of the ``count`` draws. A coordinate of X is a
+    sum of at most two terms +-c_i, in any order the same, so the gathered X
+    equals np.tensordot's against ``basis`` up to the sign of a zero, which
+    I +- X / 2^(s+1) in the Cayley step erases."""
+    coeffs = rng.standard_normal((count, sampler.form.algebra_dim)) * sampler.scale
+    G = cayley_batch(_combine(sampler, coeffs))
     if not np.isfinite(G).all():
         raise NumericalError("group element overflowed",
                              {"form": sampler.form.label(), "scale": sampler.scale})

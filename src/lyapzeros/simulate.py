@@ -11,7 +11,7 @@ SeedSequence, so identical configurations give bit-identical results. The
 trials advance in lockstep, one stacked QR per block over all trials,
 without mixing their arithmetic; their sampling runs on up to two
 threads, which changes no trial's bits. BLAS thread settings are never
-touched (see ``matrices.sample_group_elements``).
+touched.
 A spectrum run simulates the standard cocycle only: the exponents of its
 k-th exterior power are the k-subset sums of the standard ones
 (multiplicative ergodic theorem for exterior powers), formed trial by
@@ -46,6 +46,9 @@ from .realforms import (EXTERIOR_WEIGHT_LIMIT, Family, GroupSampler, RealFormSpe
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
+# bytes of one trial's chunk buffers (its coefficients, X and steps) above
+# which a run warns before sampling
+_CHUNK_MEMORY_LIMIT = 2 ** 30
 # largest |sum of a trial's exponents| accepted. At the default scale and
 # renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
 # the acceptance pairs; SL(2,R) at scale 2, which lost precision, gave 0.05.
@@ -264,7 +267,7 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     direct sums g + Lambda^k g of exterior_consistency_check).
     """
     rep = rep or (lambda B: B)
-    eye = rep(np.eye(sampler.matrix_dim, dtype=sampler.basis.dtype))
+    eye = rep(np.eye(sampler.matrix_dim, dtype=sampler.dtype))
     Q = np.broadcast_to(eye, (len(rngs),) + eye.shape)
     acc = np.zeros(Q.shape[:-1])
     max_sample_err = 0.0
@@ -316,9 +319,17 @@ def _run_with_retry(config: SimConfig, rep=None):
     interval used). A cocycle overflow or a violated sum rule is retried
     once at half the renorm interval, since shorter blocks are better
     conditioned; a second failure raises NumericalError. The sum rule holds
-    for the first matrix_dim columns and for the rest, if ``rep`` adds any."""
-    sampler = lie_algebra_basis(config.form, config.scale)
-    d = config.form.matrix_dim
+    for the first matrix_dim columns and for the rest, if ``rep`` adds any.
+    Chunks over ``_CHUNK_MEMORY_LIMIT`` warn first."""
+    form, d = config.form, config.form.matrix_dim
+    sampler = lie_algebra_basis(form, config.scale)
+    chunk = min(config.steps, _CHUNK_TARGET)
+    nbytes = chunk * (8 * form.algebra_dim + 3 * d * d * sampler.dtype.itemsize)
+    if nbytes > _CHUNK_MEMORY_LIMIT:
+        warnings.warn(
+            f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial "
+            f"(warning limit {_CHUNK_MEMORY_LIMIT:,}); memory grows with min(steps, "
+            f"{_CHUNK_TARGET:,})", RuntimeWarning, stacklevel=3)
     for interval in (config.renorm_interval, config.renorm_interval // 2):
         if interval == 0:   # renorm_interval 1 has no half
             break
@@ -552,6 +563,8 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
             "exterior consistency check applies to the su and so* families")
     cfg = replace(config, rep=RepSpec.standard())
     d = config.form.matrix_dim
+    if not 1 <= k <= d:
+        raise ParameterError(f"exterior degree {k} out of range 1..{d}")
     entries = (d + binomial(d, k)) ** 2
     if entries > EXTERIOR_WEIGHT_LIMIT:
         warnings.warn(

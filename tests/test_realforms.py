@@ -8,8 +8,8 @@ import pytest
 
 import lyapzeros as lz
 from lyapzeros import cli
-from lyapzeros import (Family, InternalError, ParameterError, RepKind, RepSpec, Weight,
-                       WeightMultiset, exterior_power_matrix, lie_algebra_basis,
+from lyapzeros import (Family, InternalError, NumericalError, ParameterError, RepKind,
+                       RepSpec, Weight, WeightMultiset, exterior_power_matrix, lie_algebra_basis,
                        restriction_map, sample_group_elements, so_split, so_star,
                        sp, su, weights_restricted)
 from lyapzeros.realforms import form_preservation_errors
@@ -210,6 +210,44 @@ class TestLieAlgebraBases:
         flat = sampler.basis.reshape(form.algebra_dim, -1)
         stacked = np.concatenate([flat.real, flat.imag], axis=1)
         assert np.linalg.matrix_rank(stacked) == form.algebra_dim
+        # every element satisfies the defining relations, not only the
+        # random combination checked on construction
+        for X in sampler.basis:
+            assert lz.matrices._relation_residual(sampler, X) == 0.0
+
+    @pytest.mark.parametrize("builder,form", [
+        ("_su_elements", su(2, 1)), ("_so_elements", so_split(6)),
+        ("_so_star_elements", so_star(3)), ("_sp_elements", sp(2))],
+        ids=lambda x: x.label() if hasattr(x, "label") else x)
+    def test_corrupted_table_is_refused(self, builder, form, monkeypatch):
+        real = getattr(lz.matrices, builder)
+
+        def short(*args):
+            return real(*args)[:-1]
+
+        def flipped(*args):
+            elements = real(*args)
+            (r, c, v), *rest = elements[-1]
+            elements[-1] = [(r, c, -v), *rest]
+            return elements
+
+        def crowded(*args):
+            # three copies of the first element put three terms on each of
+            # its coordinates
+            elements = real(*args)
+            return elements[:1] * 3 + elements[3:]
+
+        monkeypatch.setattr(lz.matrices, builder, short)
+        with pytest.raises(NumericalError, match="cardinality") as info:
+            lie_algebra_basis(form)
+        assert info.value.diagnostics["built"] == form.algebra_dim - 1
+        monkeypatch.setattr(lz.matrices, builder, flipped)
+        with pytest.raises(NumericalError, match="defining relations") as info:
+            lie_algebra_basis(form)
+        assert info.value.diagnostics["residual"] > lz.matrices._RELATION_TOL
+        monkeypatch.setattr(lz.matrices, builder, crowded)
+        with pytest.raises(InternalError, match="over two basis terms"):
+            lie_algebra_basis(form)
 
     def test_su11_dimension(self):
         assert lie_algebra_basis(su(1, 1)).basis.shape[0] == 3
@@ -273,7 +311,7 @@ class TestSampling:
         rng = np.random.default_rng(11)
         g = sample_group_elements(sampler, rng, 200)
         noise = rng.standard_normal(g.shape) * 0.1
-        perturbed = g + (noise.astype(g.dtype) if sampler.is_complex else noise)
+        perturbed = g + noise.astype(g.dtype)
         for m, group in ((g, True), (perturbed, False)):
             errors = form_preservation_errors(sampler, m)
             assert set(errors) == set(sampler.forms)
@@ -320,35 +358,43 @@ class TestSampling:
     @pytest.mark.parametrize("form,count", [
         (su(2, 1), 5000), (su(3, 1), 5000), (so_star(3), 5000), (sp(2), 5000),
         (so_split(5), 5000), (su(5, 1), 5000), (so_split(23), 2000), (su(8, 8), 1000),
+        (su(2, 2), 5000), (so_split(6), 5000), (so_star(2), 5000), (sp(1), 5000),
     ], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
     def test_combination_is_tensordot_in_unthreaded_calls(self, form, count, monkeypatch):
-        # X = sum c_i B_i is cut into GEMMs OpenBLAS runs on one thread; it
-        # must equal one tensordot in value, and give the same bits after the
-        # Cayley step (only the sign of a zero may differ before it)
+        # X = sum c_i B_i is gathered from the index tables by numpy
+        # indexing and ufuncs, which never thread; it must equal one
+        # tensordot with the expanded basis in value, and give the same bits
+        # after the Cayley step (only the sign of a zero may differ before it)
         sampler = lie_algebra_basis(form)
-        calls, combined = [], []
-        matmul, cayley = np.matmul, lz.matrices.cayley_batch
-
-        def spy_matmul(a, b, **kw):
-            calls.append((a.shape, b.shape))
-            return matmul(a, b, **kw)
+        combined = []
+        cayley = lz.matrices.cayley_batch
 
         def spy_cayley(X):
             combined.append(X.copy())
             return cayley(X)
 
-        monkeypatch.setattr(np, "matmul", spy_matmul)
         monkeypatch.setattr(lz.matrices, "cayley_batch", spy_cayley)
         g = sample_group_elements(sampler, np.random.default_rng(7), count)
         monkeypatch.undo()
 
         coeffs = np.random.default_rng(7).standard_normal((count, len(sampler.basis)))
         X = np.tensordot(coeffs * sampler.scale, sampler.basis, axes=(1, 0))
+        assert combined[0].dtype == X.dtype == sampler.dtype
         assert np.array_equal(combined[0], X)
         assert np.array_equal(g.view(np.uint64), cayley(X).view(np.uint64))
-        assert all(len(a) == len(b) == 2 for a, b in calls)
-        assert max(a[0] * b[1] * a[1] for a, b in calls) <= lz.matrices._GEMM_SERIAL_MNK
-        assert sum(a[0] * b[1] for a, b in calls) == X.size * (2 if sampler.is_complex else 1)
+
+    def test_large_algebra_builds_no_dense_basis(self):
+        # su(30,30)'s dense basis alone takes 3599 * 60^2 * 16 bytes = 207 MB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            sampler = lie_algebra_basis(su(30, 30))
+            g = sample_group_elements(sampler, np.random.default_rng(0), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (10, 60, 60)
+        assert peak < 50e6, peak
 
     def test_su21_seeded(self):
         sampler = lie_algebra_basis(su(2, 1), scale=0.3)

@@ -216,6 +216,26 @@ class TestLyapunovSpectrum:
             with pytest.raises(Sampled):
                 lyapunov_spectrum(quick(su(8, 8), RepSpec.exterior(8)))
 
+    def test_large_chunk_warns_before_sampling(self, monkeypatch):
+        # a 20,000-step su(30,30) chunk takes 20,000 * (8 * 3599 + 3 * 60^2 * 16)
+        # bytes per trial; so(23,2) (348 MB) and su(8,8) (287 MB) stay below 2^30
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
+        for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
+            with pytest.warns(RuntimeWarning, match="4,031,840,000 bytes per trial"):
+                with pytest.raises(Sampled):
+                    run(SimConfig(form=su(30, 30)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (so_split(23), su(8, 8)):
+                with pytest.raises(Sampled):
+                    lyapunov_spectrum(SimConfig(form=form))
+
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=1,
@@ -477,6 +497,19 @@ class TestExteriorConsistency:
             for form, k in ((su(5, 5), 5), (su(5, 1), 3)):
                 with pytest.raises(Sampled):
                     exterior_consistency_check(quick(form), k)
+
+    @pytest.mark.parametrize("form,k", [(su(2, 1), 0), (su(2, 1), 5), (su(2, 1), -1),
+                                        (su(200, 200), 500)],
+                             ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+    def test_degree_is_checked_before_sampling(self, form, k, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("sampled before checking k")
+
+        monkeypatch.setattr(lz.simulate, "_run_with_retry", sampled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"exterior degree {k} out of range"):
+                exterior_consistency_check(quick(form), k)
 
     def test_sum_rule_gates_each_summand(self, monkeypatch):
         # shifting the standard and the compound summand by opposite amounts
