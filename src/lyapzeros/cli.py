@@ -25,7 +25,7 @@ import warnings
 from . import prediction
 from .errors import (InternalError, NumericalError, ParameterError,
                      UnsupportedFeatureError)
-from .prediction import predict, predicted_counts
+from .prediction import predict
 from .realforms import (EXTERIOR_WEIGHT_LIMIT, RealFormSpec, so_split, so_star,
                         sp, su)
 from .weights import RepSpec, binomial
@@ -165,58 +165,55 @@ def _su_standard_row_count(max_dim: int) -> int:
 
 
 def _admissible_rows(max_dim: int) -> list[dict]:
+    """Rows of the classify table, read off integer closed forms with no form
+    object per row. (real dimension, real zero count) is (2(p+q), 2(p-q))
+    for su(p,q) standard, (2 C(p+1,j), 2 su_exterior_zero_multiplicity(p,1,j))
+    for su(p,1) ext:j, (2g, 0) for sp(2g,R), (4n, 4 (n mod 2)) for so*(2n),
+    (2^n, 0) for so(2n-1,2) spin and (2^(n-1), 0) for its half-spins. Every
+    row of real dimension <= 24 and the largest row of each kind are rebuilt
+    as a form and checked against hodge_admissible and predict."""
     su_rows = _su_standard_row_count(max_dim)
     if su_rows > CLASSIFY_ROW_LIMIT:
         warnings.warn(
             f"classify --max-dim {max_dim} lists {su_rows:,} su(p,q) standard rows "
             f"(warning limit {CLASSIFY_ROW_LIMIT:,}); time and memory grow with "
             "that number", RuntimeWarning, stacklevel=2)
-    pairs: list[tuple[RealFormSpec, RepSpec]] = []
-    # su(p,q) standard: real dimension 2(p+q)
-    for s in range(2, max_dim // 2 + 1):
-        for q in range(1, s // 2 + 1):
-            pairs.append((su(s - q, q), RepSpec.standard()))
+    # one list per kind of row: (real_dim, form, rep, zero_count_real) as the
+    # table shows them, then the form's factory and its arguments
+    su_exterior = []
     # su(p,1) nontrivial exterior powers: real dimension 2 C(p+1, k), the
     # same for k and p+1-k and growing in k up to the middle
     for p in range(2, max_dim // 2):
         k = 1
-        while 2 * k <= p + 1 and 2 * binomial(p + 1, k) <= max_dim:
-            for j in {k, p + 1 - k}:
-                if 2 <= j <= p:
-                    pairs.append((su(p, 1), RepSpec.exterior(j)))
+        while 2 * k <= p + 1 and 2 * (c := binomial(p + 1, k)) <= max_dim:
+            su_exterior += [(2 * c, f"su({p},1)", f"ext:{j}",
+                             2 * prediction.su_exterior_zero_multiplicity(p, 1, j), su, (p, 1))
+                            for j in {k, p + 1 - k} if 2 <= j <= p]
             k += 1
-    # sp(2g,R) standard: real dimension 2g
-    for g in range(1, max_dim // 2 + 1):
-        pairs.append((sp(g), RepSpec.standard()))
-    # so*(2n) standard: real dimension 4n
-    for n in range(2, max_dim // 4 + 1):
-        pairs.append((so_star(n), RepSpec.standard()))
-    # so(2n-1,2) spin: real dimension 2^n
-    n = 2
-    while 2 ** n <= max_dim:
-        pairs.append((so_split(2 * n - 1), RepSpec.spin()))
-        n += 1
-    # so(2n-2,2) half-spins: real dimension 2^(n-1)
-    n = 3
-    while 2 ** (n - 1) <= max_dim:
-        pairs.append((so_split(2 * n - 2), RepSpec.half_spin("+")))
-        pairs.append((so_split(2 * n - 2), RepSpec.half_spin("-")))
-        n += 1
-
-    rows = []
-    for form, rep in pairs:
-        if not prediction.hodge_admissible(form, rep)[0]:
-            raise InternalError(f"classify listed the inadmissible pair "
-                                f"{form.label()} {rep.label()}")
-        real_dim, zero_count = predicted_counts(form, rep)
-        rows.append({
-            "form": form.label(),
-            "rep": rep.label(),
-            "real_dim": real_dim,
-            "zero_count_real": zero_count,
-        })
-    rows.sort(key=lambda r: (r["real_dim"], r["form"], r["rep"]))
-    return rows
+    su_standard = [(2 * s, f"su({s - q},{q})", "standard", 2 * (s - 2 * q), su, (s - q, q))
+                   for s in range(2, max_dim // 2 + 1) for q in range(1, s // 2 + 1)]
+    sp_standard = [(2 * g, f"sp({2 * g},R)", "standard", 0, sp, (g,))
+                   for g in range(1, max_dim // 2 + 1)]
+    so_star_standard = [(4 * n, f"so*({2 * n})", "standard", 4 * (n % 2), so_star, (n,))
+                        for n in range(2, max_dim // 4 + 1)]
+    # 2^n <= max_dim exactly when n < max_dim.bit_length()
+    spin = [(2 ** n, f"so({2 * n - 1},2)", "spin", 0, so_split, (2 * n - 1,))
+            for n in range(2, max_dim.bit_length())]
+    half_spins = [[(2 ** (n - 1), f"so({2 * n - 2},2)", f"half-spin:{sign}", 0, so_split,
+                    (2 * n - 2,)) for n in range(3, max_dim.bit_length() + 1)]
+                  for sign in "+-"]
+    kinds = [su_exterior, su_standard, sp_standard, so_star_standard, spin, *half_spins]
+    for rows in filter(None, kinds):
+        largest = max(rows)
+        for row in (r for r in rows if r[0] <= 24 or r is largest):
+            form, rep = row[4](*row[5]), RepSpec.parse(row[2])
+            if not prediction.hodge_admissible(form, rep)[0]:
+                raise InternalError(f"classify listed the inadmissible pair {row[1]} {row[2]}")
+            pred = predict(form, rep)
+            if (pred.real_dim, form.label(), rep.label(), pred.zero_count_real) != row[:4]:
+                raise InternalError(f"classify row {row[:4]} disagrees with predict")
+    return [{"form": form, "rep": rep, "real_dim": real_dim, "zero_count_real": zero}
+            for real_dim, form, rep, zero, *_ in sorted(row for rows in kinds for row in rows)]
 
 
 def cmd_classify(args):

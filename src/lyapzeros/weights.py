@@ -235,32 +235,43 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
     of multiplicity m contributes sum_b C(m, b) t^b x^(b w) (Fulton-Harris
     section 15). No subset is enumerated. For 2k > n the recurrence runs
     to degree n - k only: Lambda^k is (Lambda^(n-k))^* (x) det, so its
-    weights are sigma minus those of degree n - k, sigma the weight sum."""
+    weights are sigma minus those of degree n - k, sigma the weight sum.
+    A sum is keyed by one int: with top the largest |doubled coordinate|,
+    each coordinate of a j-fold sum (j <= k) plus k * top lies in
+    [0, 2 k top] and fills its own bit field; packing is linear, so adding
+    b w to a key is one integer add, and only degree-k keys are unpacked."""
     n = base.total()
     if not 1 <= k <= n:
         raise ParameterError(f"exterior degree {k} out of range 1..{n}")
     dual, k = 2 * k > n, min(k, n - k)
-    # by_degree[j]: doubled coordinates of a j-fold sum -> its multiplicity
-    by_degree: list[dict[tuple[int, ...], int]] = [{(0,) * base.rank: 1}]
+    items, rank = base.items(), base.rank
+    top = max(abs(c) for w, _ in items for c in w.doubled)
+    width = (2 * k * top).bit_length()
+    shifts = [i * width for i in range(rank)]   # where each coordinate's field starts
+    pack = lambda coords: sum(c << s for c, s in zip(coords, shifts))
+    # by_degree[j]: packed key of a j-fold sum -> its multiplicity
+    by_degree: list[dict[int, int]] = [{pack([k * top] * rank): 1}]
     by_degree += [{} for _ in range(k)]
-    items = base.items()
     remaining = n
     for w, m in items:
         remaining -= m
+        packed = pack(w.doubled)
         step = [{} for _ in by_degree]
         for j, sums in enumerate(by_degree):
             # skip the j + b that the remaining weights can no longer lift to k
             for b in range(max(0, k - remaining - j), min(m, k - j) + 1):
                 coeff = math.comb(m, b)
-                shift = tuple(b * c for c in w.doubled)
+                shift = b * packed
                 target = step[j + b]
                 for v, count in sums.items():
-                    key = tuple(a + s for a, s in zip(v, shift))
+                    key = v + shift
                     target[key] = target.get(key, 0) + coeff * count
         by_degree = step
-    sums = by_degree[k]
+    mask = (1 << width) - 1
+    sums = {tuple([((v >> s) & mask) - k * top for s in shifts]): c
+            for v, c in by_degree[k].items()}
     if dual:
-        sigma = [sum(m * w.doubled[i] for w, m in items) for i in range(base.rank)]
+        sigma = [sum(m * w.doubled[i] for w, m in items) for i in range(rank)]
         sums = {tuple(map(sub, sigma, v)): c for v, c in sums.items()}
     return WeightMultiset({Weight(v): c for v, c in sums.items()})
 

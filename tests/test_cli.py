@@ -100,6 +100,9 @@ SU31_EXT2 = ["predict", "--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2
     ("su_p1_exterior_signature", lambda p, k: (0, 0), SU31_EXT2),
     ("hodge_admissible", lambda form, rep: (False, "broken"), ["classify", "--max-dim", "4"]),
     ("_zero_count_closed_form", lambda form, rep: 99, ["classify", "--max-dim", "12"]),
+    ("su_exterior_zero_multiplicity",
+     lambda p, q, k, real=prediction.su_exterior_zero_multiplicity: real(p, q, k) + 1,
+     ["classify", "--max-dim", "24"]),
 ])
 def test_failed_internal_check_exits_1(monkeypatch, capsys, name, broken, argv):
     # a closed form that disagrees with the computed weights is a defect in
@@ -109,6 +112,22 @@ def test_failed_internal_check_exits_1(monkeypatch, capsys, name, broken, argv):
     assert code == cli.EXIT_ERROR == 1
     assert text == ""
     assert "internal error" in capsys.readouterr().err
+
+
+def test_classify_row_disagreeing_with_predict_exits_1(monkeypatch, capsys):
+    # the closed-form rows are cross-checked on a sample; a prediction that
+    # differs from its row fails the table even when predict itself is coherent
+    real = cli.predict
+
+    def shifted(form, rep):
+        pred = real(form, rep)
+        return dataclasses.replace(pred, real_dim=pred.real_dim + 2,
+                                   zero_count_real=pred.zero_count_real + 2)
+
+    monkeypatch.setattr(cli, "predict", shifted)
+    code, text = run_cli(["classify", "--max-dim", "4"])
+    assert (code, text) == (cli.EXIT_ERROR, "")
+    assert "internal error: classify row" in capsys.readouterr().err
 
 
 def form_of(label):
@@ -162,8 +181,9 @@ class TestClassify:
                 (pred.real_dim, pred.zero_count_real), row
 
     def test_standard_rows_build_no_weights(self, monkeypatch):
-        # an exterior row builds the restricted standard weights once, on the
-        # way to its exterior power; a standard row builds none
+        # rows come from closed forms; only the cross-check sample (every row
+        # of real dimension <= 24 and the largest row of each kind) builds a
+        # form, and a standard or exterior sample row its standard weights
         want = run_json(["classify", "--max-dim", "120"])[1]["payload"]
         built = []
         real = realforms._restricted_standard
@@ -176,9 +196,13 @@ class TestClassify:
         code, rec = run_json(["classify", "--max-dim", "120"])
         assert code == 0
         assert rec["payload"] == want
-        exterior = [r["form"] for r in want["rows"] if r["rep"].startswith("ext:")]
-        assert len(want["rows"]) - len(exterior) > 900
-        assert sorted(built) == sorted(exterior)
+        # rows are sorted, so the last row of a kind is its largest
+        largest = {re.sub(r"\d+", "", r["form"] + r["rep"]): r for r in want["rows"]}
+        weighted = [r["form"] for r in want["rows"]
+                    if (r["real_dim"] <= 24 or r in largest.values())
+                    and (r["rep"] == "standard" or r["rep"].startswith("ext:"))]
+        assert len(want["rows"]) > 900 and len(weighted) < 100
+        assert sorted(built) == sorted(weighted)
 
     def test_large_table_warns_before_building_rows(self, monkeypatch):
         class FirstRow(Exception):
@@ -187,7 +211,8 @@ class TestClassify:
         def first_row(*args):
             raise FirstRow
 
-        monkeypatch.setattr(cli, "su", first_row)
+        # the su(p,1) walk's first binomial is the first call after the warning
+        monkeypatch.setattr(cli, "binomial", first_row)
         with pytest.warns(RuntimeWarning, match="250,000 su\\(p,q\\) standard rows"):
             with pytest.raises(FirstRow):
                 run_cli(["classify", "--max-dim", "2000"])

@@ -20,7 +20,8 @@ NUMPY_FREE = textwrap.dedent("""
 
     for argv in (["predict", "--group", "su", "--p", "5", "--q", "2", "--rep", "ext:3"],
                  ["predict", "--group", "so-split", "--m", "9", "--rep", "spin"],
-                 ["classify", "--max-dim", "24"]):
+                 ["predict", "--group", "so-star", "--n", "10", "--rep", "ext:5"],
+                 ["classify", "--max-dim", "24"], ["classify", "--max-dim", "120"]):
         assert cli.main(argv, out=io.StringIO()) == 0, argv
     print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 """)

@@ -286,6 +286,26 @@ def test_exterior_negation_closure_property(rank, k):
     assert negation_closed(exterior_power(base, k))
 
 
+@settings(max_examples=100, deadline=None)
+@given(entries=st.integers(1, 4).flatmap(lambda rank: st.dictionaries(
+           st.tuples(*[st.integers(-5, 5)] * rank), st.integers(1, 3),
+           min_size=1, max_size=5)))
+def test_packed_keys_match_subset_sums(entries):
+    # odd, asymmetric doubled coordinates, every k (k > n/2 takes the dual step)
+    base = WeightMultiset({Weight(v): m for v, m in entries.items()})
+    for k in range(1, base.total() + 1):
+        assert exterior_power(base, k) == subset_sums(base, k), k
+
+
+def test_packed_keys_reach_the_field_ends():
+    # top = 5: the k-fold sums (k <= 3 after duality) reach +-5k in both
+    # coordinates, the ends of each packed field
+    base = WeightMultiset({Weight((5, -5)): 3, Weight((-5, 5)): 3, Weight((1, 2)): 1})
+    for k in range(1, base.total() + 1):
+        assert exterior_power(base, k) == subset_sums(base, k), k
+    assert exterior_power(base, 3).multiplicity(Weight((15, -15))) == 1
+
+
 def bound_by_sorting(base, k):
     """The expand-and-sort formula that exterior_power_bound computes."""
     bound = 1
