@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, ParameterError, UnsupportedFeatureError
-from .realforms import (Family, RealFormSpec, standard_multiplicities,
-                        weights_restricted)
+from .realforms import Family, RealFormSpec, weights_restricted
 from .weights import RepKind, RepSpec, Weight, WeightMultiset, binomial
 
 
@@ -129,18 +128,9 @@ def _checked_zero_count(form: RealFormSpec, rep: RepSpec, zero_complex: int) -> 
 
 
 def predicted_counts(form: RealFormSpec, rep: RepSpec) -> tuple[int, int]:
-    """(real dimension, real zero count) of one pair.
-
-    Standard representations are read off the form (standard_multiplicities)
-    without building weights, and cross-checked against the closed form as in
-    predict; every other representation goes through predict.
-    """
-    if rep.kind is not RepKind.STANDARD:
-        pred = predict(form, rep)
-        return pred.real_dim, pred.zero_count_real
-    _, zero_complex = standard_multiplicities(form)
-    _checked_zero_count(form, rep, zero_complex)
-    return form.matrix_dim * form.real_factor, zero_complex * form.real_factor
+    """(real dimension, real zero count) of one pair, as predict gives them."""
+    pred = predict(form, rep)
+    return pred.real_dim, pred.zero_count_real
 
 
 def predicted_zero_count(form: RealFormSpec, rep: RepSpec) -> int:
@@ -183,14 +173,19 @@ def su_zero_weight_parity_counts(p: int, q: int, k: int) -> tuple[int, int]:
     return sum(counts[0::2]), sum(counts[1::2])
 
 
+def _as_standard(rep: RepSpec) -> RepSpec:
+    """ext:1 is the standard representation, and gets its answers."""
+    return RepSpec.standard() if rep == RepSpec.exterior(1) else rep
+
+
 def sigma_rank_bound(form: RealFormSpec, rep: RepSpec) -> int:
     """Upper bound for the rank of the second fundamental form.
 
-    2*min(p,q) for su(p,q) standard; 2n-2 for so*(2n) standard with n odd
-    (2n for even n, no improvement); C(p-1,k-1) per conjugate block for
-    su(p,1) exterior powers.
+    2*min(p,q) for su(p,q) standard (and ext:1); 2n-2 for so*(2n) standard
+    with n odd (2n for even n, no improvement); C(p-1,k-1) per conjugate
+    block for su(p,1) exterior powers, k >= 2.
     """
-    fam = form.family
+    fam, rep = form.family, _as_standard(rep)
     if fam is Family.SU and rep.kind is RepKind.STANDARD:
         return 2 * min(form.p, form.q)
     if fam is Family.SO_STAR and rep.kind is RepKind.STANDARD:
@@ -204,6 +199,7 @@ def sigma_rank_bound(form: RealFormSpec, rep: RepSpec) -> int:
 
 
 def _sigma_ranks(form: RealFormSpec, rep: RepSpec) -> tuple[int | None, int | None]:
+    rep = _as_standard(rep)
     try:
         per_block = sigma_rank_bound(form, rep)
     except UnsupportedFeatureError:
@@ -221,10 +217,7 @@ def hodge_admissible(form: RealFormSpec, rep: RepSpec) -> tuple[bool, str]:
     so(2n-2,2) in either half-spin. Total on all inputs: incoherent pairs
     come back inadmissible rather than raising.
     """
-    fam = form.family
-    kind = rep.kind
-    if kind is RepKind.EXTERIOR and rep.degree == 1:
-        kind = RepKind.STANDARD
+    fam, kind = form.family, _as_standard(rep).kind
     if fam is Family.SU:
         if kind is RepKind.STANDARD:
             return True, "unitary form in the standard representation"

@@ -267,25 +267,33 @@ def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     so*(2n), 1 otherwise) and 0. Restriction to the split torus is linear,
     so an exterior power is the exterior power of the restricted standard
     weights; its cost is polynomial in the standard dimension and the
-    degree, times the number of distinct restricted weights, and a
-    RuntimeWarning is issued first when exterior_power_bound puts that
-    number above EXTERIOR_WEIGHT_LIMIT. (Half-)spin weights are exterior
-    powers of the restriction images of e_1..e_n, shifted. Reported real
-    counts of su(p,q) and so*(2n) are twice these.
+    degree, times the number of distinct restricted weights. (Half-)spin
+    weights are subset sums of the restriction images of e_1..e_n,
+    shifted, so there are at most as many as n-fold sums of those images
+    and n zeros (4 for so(m,2), 3^(n//2) for so*(2n)). A RuntimeWarning is
+    issued first when exterior_power_bound puts that number above
+    EXTERIOR_WEIGHT_LIMIT.
+    Reported real counts of su(p,q) and so*(2n) are twice these.
     """
     _check_coherent(form, rep)
-    if rep.is_spin_like():
-        return _restricted_spin(form, rep)
-    standard = _restricted_standard(form)
     if rep.kind is RepKind.STANDARD:
-        return standard
-    bound = exterior_power_bound(standard, rep.degree)
+        return _restricted_standard(form)
+    if rep.is_spin_like():
+        images = Counter(zip(*restriction_map(form)))
+        images[(0,) * form.restricted_rank] += form.ambient_dim
+        base = WeightMultiset({Weight(r): m for r, m in images.items()})
+        degree = form.ambient_dim
+    else:
+        base, degree = _restricted_standard(form), rep.degree
+    bound = exterior_power_bound(base, degree)
     if bound > EXTERIOR_WEIGHT_LIMIT:
         warnings.warn(
             f"{form.label()} {rep.label()} may have up to {bound:,} distinct "
             f"restricted weights (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
             "time and memory grow with that number", RuntimeWarning, stacklevel=2)
-    return exterior_power(standard, rep.degree)
+    if rep.is_spin_like():
+        return _restricted_spin(form, rep)
+    return exterior_power(base, degree)
 
 
 _MATRIX_NAMES = ("GroupSampler", "lie_algebra_basis", "sample_group_elements",

@@ -39,10 +39,10 @@ from ._expm import real_form, times
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          realified_weights)
-from .realforms import (EXTERIOR_WEIGHT_LIMIT, Family, GroupSampler, RealFormSpec,
-                        exterior_power_matrix, form_preservation_errors,
-                        lie_algebra_basis, sample_group_elements,
-                        standard_multiplicities)
+from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
+                        _check_coherent, exterior_power_matrix,
+                        form_preservation_errors, lie_algebra_basis,
+                        sample_group_elements, standard_multiplicities)
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
@@ -59,7 +59,8 @@ _SPIN_MESSAGE = "unsupported: spin representations are weight-combinatorics only
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; defaults complete the su(2,1) suite in seconds."""
+    """Simulation parameters; defaults complete the su(2,1) suite in seconds.
+    Any pair that ``predict`` accepts simulates, except the (half-)spin ones."""
 
     form: RealFormSpec
     rep: RepSpec = RepSpec.standard()
@@ -73,6 +74,7 @@ class SimConfig:
     def __post_init__(self):
         if self.rep.is_spin_like():
             raise UnsupportedFeatureError(_SPIN_MESSAGE)
+        _check_coherent(self.form, self.rep)
         if self.steps < 1 or self.trials < 1:
             raise ParameterError("steps and trials must be positive")
         if not 1 <= self.renorm_interval <= 50:
@@ -391,14 +393,9 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
     aggregation (a RuntimeWarning first if there are over EXTERIOR_WEIGHT_LIMIT).
     One trial gives no error bar, so its zero cluster is inconclusive.
     """
-    rep, d = config.rep, config.form.matrix_dim
+    rep = config.rep
     if rep.kind is RepKind.EXTERIOR:
-        if config.form.family not in (Family.SU, Family.SO_STAR):
-            raise UnsupportedFeatureError(
-                "exterior-power simulation is supported for the su and so* families only")
-        if not 1 <= rep.degree <= d:
-            raise ParameterError(f"exterior degree {rep.degree} out of range 1..{d}")
-        sums = binomial(d, rep.degree)
+        sums = binomial(config.form.matrix_dim, rep.degree)
         if sums > EXTERIOR_WEIGHT_LIMIT:
             warnings.warn(
                 f"{config.form.label()} {rep.label()} forms {sums:,} subset sums per "
@@ -558,9 +555,6 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
     The frames are dense, (d + C(d, k))^2 entries per trial for d =
     matrix_dim: a RuntimeWarning comes first above EXTERIOR_WEIGHT_LIMIT.
     """
-    if config.form.family not in (Family.SU, Family.SO_STAR):
-        raise UnsupportedFeatureError(
-            "exterior consistency check applies to the su and so* families")
     cfg = replace(config, rep=RepSpec.standard())
     d = config.form.matrix_dim
     if not 1 <= k <= d:

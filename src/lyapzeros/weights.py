@@ -65,11 +65,6 @@ class Weight:
         return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def _canonical_key(weight: Weight) -> tuple[int, ...]:
-    # descending lexicographic order on coordinates
-    return tuple(-c for c in weight.doubled)
-
-
 class WeightMultiset:
     """Multiset of weights with positive integer multiplicities.
 
@@ -103,7 +98,7 @@ class WeightMultiset:
 
     def items(self) -> list[tuple[Weight, int]]:
         """(weight, multiplicity) pairs in canonical order."""
-        return sorted(self._entries.items(), key=lambda wm: _canonical_key(wm[0]))
+        return sorted(self._entries.items(), key=lambda wm: wm[0].doubled, reverse=True)
 
     def expand(self) -> list[Weight]:
         """All weights repeated by multiplicity, in canonical order."""
@@ -221,11 +216,10 @@ def binomial(n: int, k: int) -> int:
 
 
 def k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    """All k-element subsets of range(n) in lexicographic order.
-
-    This is the canonical subset order shared by exterior-power weights
-    and compound (minor) matrices.
-    """
+    """All k-element subsets of range(n) in lexicographic order: the order
+    of the k-subset sums in ``simulate`` and of the compound-matrix rows
+    and columns. Exterior-power weights are not built from subsets
+    (``exterior_power``)."""
     return list(combinations(range(n), k))
 
 

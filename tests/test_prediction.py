@@ -191,6 +191,10 @@ class TestSigmaRank:
         assert pred.sigma_rank_bound == 2
         assert pred.sigma_rank_total == 4
 
+    def test_ext1_gets_the_standard_bound(self):
+        for form, want in [(su(3, 1), 2), (su(3, 2), 4), (so_star(3), 4)]:
+            assert sigma_rank_bound(form, RepSpec.exterior(1)) == want
+
     def test_unsupported(self):
         with pytest.raises(UnsupportedFeatureError):
             sigma_rank_bound(sp(2), RepSpec.standard())
@@ -302,6 +306,15 @@ class TestPredictAssembly:
         rec = pred.as_record()
         assert json.loads(json.dumps(rec)) == rec
         assert rec["counting"] == "real = 2 x complex"
+
+    @pytest.mark.parametrize("form", [su(3, 1), so_split(5), so_split(6), so_star(3), sp(2)],
+                             ids=lambda f: f.label())
+    def test_ext1_is_the_standard_representation(self, form):
+        ext1 = predict(form, RepSpec.exterior(1)).as_record()
+        standard = predict(form, RepSpec.standard()).as_record()
+        assert ext1.pop("representation") == "ext:1"
+        assert standard.pop("representation") == "standard"
+        assert ext1 == standard
 
     def test_so_families_count_as_real(self):
         pred = predict(so_split(5), RepSpec.spin())

@@ -478,10 +478,39 @@ class TestExteriorWeightBound:
             with pytest.raises(Reached):
                 weights_restricted(su(32, 32), RepSpec.exterior(32))
 
+    def test_huge_half_spin_warns_before_the_expansion(self, monkeypatch):
+        # so*(2n) half-spin weights number at most 3^(n//2): so*(44) is the
+        # first so* over the limit
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(lz.realforms, "_restricted_spin", reached)
+        for n, bound in ((22, "177,147"), (24, "531,441")):
+            with pytest.warns(RuntimeWarning, match=f"up to {bound} distinct restricted weights"):
+                with pytest.raises(Reached):
+                    weights_restricted(so_star(n), RepSpec.half_spin("+"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Reached):
+                weights_restricted(so_star(21), RepSpec.half_spin("-"))
+
+    def test_spin_bound_holds(self):
+        for n in range(3, 13):
+            for sign in "+-":
+                assert weights_restricted(so_star(n), RepSpec.half_spin(sign)).distinct() \
+                    <= 3 ** (n // 2)
+        for m in (3, 6, 9, 12):
+            rep = RepSpec.spin() if m % 2 else RepSpec.half_spin("+")
+            assert weights_restricted(so_split(m), rep).distinct() <= 4
+
     def test_benchmark_queries_do_not_warn(self):
         queries = [(su(16, 2), 9), (su(12, 4), 8), (so_star(10), 5), (su(40, 8), 20)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for form, k in queries:
                 lz.predict(form, RepSpec.exterior(k))
+            lz.predict(so_split(23), RepSpec.spin())
             cli.main(["classify", "--max-dim", "120"], out=io.StringIO())

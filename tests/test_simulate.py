@@ -60,6 +60,32 @@ class TestSimConfig:
         assert cfg.resolved_warmup(10) == 20
 
 
+PAIR_FORMS = [su(3, 1), so_split(5), so_split(6), so_star(4), sp(2)]
+PAIR_REPS = ["standard", "ext:1", "ext:2", "ext:d+1", "spin", "half-spin:+", "half-spin:-"]
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("text", PAIR_REPS)
+@pytest.mark.parametrize("form", PAIR_FORMS, ids=lambda f: f.label())
+def test_simulator_accepts_the_pairs_predict_accepts(form, text):
+    # one pair rule: SimConfig refuses (half-)spin outright and otherwise
+    # exactly the pairs predict refuses, with the same error class
+    rep = RepSpec.parse(text.replace("d+1", str(form.matrix_dim + 1)))
+    sim = raised(lambda: SimConfig(form=form, rep=rep))
+    if rep.is_spin_like():
+        assert sim is UnsupportedFeatureError
+    else:
+        assert sim is raised(lambda: predict(form, rep))
+        assert (sim is None) == (text != "ext:d+1")
+
+
 class TestClassifyZeroCluster:
     def test_clear_gap(self):
         zc = classify_zero_cluster([1.0, 0.001, -0.001, -1.0], [0.01] * 4, 0.05)
@@ -191,9 +217,13 @@ class TestLyapunovSpectrum:
             sums = sorted(2 * [sum(s) for s in combinations(complex_row, k)])
             assert np.abs(np.subtract(sorted(ext_row), sums)).max() <= 1e-12
 
-    def test_exterior_needs_su_or_so_star(self):
-        with pytest.raises(UnsupportedFeatureError):
-            lyapunov_spectrum(quick(sp(2), RepSpec.exterior(2)))
+    def test_exterior_power_of_sp_verifies(self):
+        # ext:k exponents are k-subset sums of the standard ones in every
+        # family, real ones included
+        cfg = quick(sp(2), RepSpec.exterior(2), steps=5000, trials=8, master_seed=1)
+        report = verify_prediction(cfg, predict(sp(2), RepSpec.exterior(2)))
+        assert report.verdict == "match"
+        assert report.result.zero_cluster.size == 2
 
     def test_exterior_degree_range(self):
         with pytest.raises(ParameterError):
@@ -439,9 +469,10 @@ class TestExteriorConsistency:
         assert len(chk.direct) == 1
         assert abs(chk.direct[0]) < 1e-8
 
-    def test_unsupported_family(self):
-        with pytest.raises(UnsupportedFeatureError):
-            exterior_consistency_check(quick(sp(2)), 2)
+    def test_sp_matches(self):
+        chk = exterior_consistency_check(quick(sp(2), steps=5000, trials=8, master_seed=1), 2)
+        assert chk.matched
+        assert len(chk.direct) == 6
 
     def test_direct_run_is_a_compound_run(self, monkeypatch):
         # the check must not go through the k-subset-sum path of ext:k runs,
