@@ -175,7 +175,7 @@ def su_zero_weight_parity_counts(p: int, q: int, k: int) -> tuple[int, int]:
 
 def _as_standard(rep: RepSpec) -> RepSpec:
     """ext:1 is the standard representation, and gets its answers."""
-    return RepSpec.standard() if rep == RepSpec.exterior(1) else rep
+    return RepSpec.standard() if rep.kind is RepKind.EXTERIOR and rep.degree == 1 else rep
 
 
 def sigma_rank_bound(form: RealFormSpec, rep: RepSpec) -> int:

@@ -5,6 +5,8 @@ realizations and samplers are in ``matrices``; their names resolve here too."""
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +22,14 @@ from .weights import (RepKind, RepSpec, Weight, WeightMultiset, exterior_power,
 # also the warning bound on what one run forms per trial in ``simulate``
 # and on the rows of a ``classify`` table
 EXTERIOR_WEIGHT_LIMIT = 100_000
+
+
+def _warn_size(message: str) -> None:
+    """A RuntimeWarning located at the first caller outside this package."""
+    frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__)
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 class Family(Enum):
@@ -229,7 +239,7 @@ def _restricted_standard(form: RealFormSpec) -> WeightMultiset:
                for j in range(rank) for sign in (1, -1)}
     if zero:
         entries[Weight.zero(rank)] = zero
-    return WeightMultiset(entries)
+    return WeightMultiset._trusted(entries)
 
 
 def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
@@ -256,7 +266,7 @@ def _restricted_spin(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
         by_parity = step
     kept = {RepKind.SPIN: by_parity[0] + by_parity[1],
             RepKind.HALF_SPIN_PLUS: by_parity[0], RepKind.HALF_SPIN_MINUS: by_parity[1]}
-    return WeightMultiset({Weight(v): c for v, c in kept[rep.kind].items()})
+    return WeightMultiset._trusted({Weight._trusted(v): c for v, c in kept[rep.kind].items()})
 
 
 def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
@@ -281,16 +291,16 @@ def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     if rep.is_spin_like():
         images = Counter(zip(*restriction_map(form)))
         images[(0,) * form.restricted_rank] += form.ambient_dim
-        base = WeightMultiset({Weight(r): m for r, m in images.items()})
+        base = WeightMultiset._trusted({Weight._trusted(r): m for r, m in images.items()})
         degree = form.ambient_dim
     else:
         base, degree = _restricted_standard(form), rep.degree
     bound = exterior_power_bound(base, degree)
     if bound > EXTERIOR_WEIGHT_LIMIT:
-        warnings.warn(
+        _warn_size(
             f"{form.label()} {rep.label()} may have up to {bound:,} distinct "
             f"restricted weights (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
-            "time and memory grow with that number", RuntimeWarning, stacklevel=2)
+            "time and memory grow with that number")
     if rep.is_spin_like():
         return _restricted_spin(form, rep)
     return exterior_power(base, degree)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -40,7 +39,7 @@ from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
                          realified_weights)
 from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
-                        _check_coherent, exterior_power_matrix,
+                        _check_coherent, _warn_size, exterior_power_matrix,
                         form_preservation_errors, lie_algebra_basis,
                         sample_group_elements, standard_multiplicities)
 from .weights import RepKind, RepSpec, binomial, k_subsets
@@ -328,10 +327,10 @@ def _run_with_retry(config: SimConfig, rep=None):
     chunk = min(config.steps, _CHUNK_TARGET)
     nbytes = chunk * (8 * form.algebra_dim + 3 * d * d * sampler.dtype.itemsize)
     if nbytes > _CHUNK_MEMORY_LIMIT:
-        warnings.warn(
+        _warn_size(
             f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial "
             f"(warning limit {_CHUNK_MEMORY_LIMIT:,}); memory grows with min(steps, "
-            f"{_CHUNK_TARGET:,})", RuntimeWarning, stacklevel=3)
+            f"{_CHUNK_TARGET:,})")
     for interval in (config.renorm_interval, config.renorm_interval // 2):
         if interval == 0:   # renorm_interval 1 has no half
             break
@@ -397,10 +396,10 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
     if rep.kind is RepKind.EXTERIOR:
         sums = binomial(config.form.matrix_dim, rep.degree)
         if sums > EXTERIOR_WEIGHT_LIMIT:
-            warnings.warn(
+            _warn_size(
                 f"{config.form.label()} {rep.label()} forms {sums:,} subset sums per "
                 f"trial (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); time, memory and "
-                "output grow with that number", RuntimeWarning, stacklevel=2)
+                "output grow with that number")
 
     t0 = time.perf_counter()
     per_trial, sample_err, block_err, interval_used = _run_with_retry(config)
@@ -561,10 +560,10 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
         raise ParameterError(f"exterior degree {k} out of range 1..{d}")
     entries = (d + binomial(d, k)) ** 2
     if entries > EXTERIOR_WEIGHT_LIMIT:
-        warnings.warn(
+        _warn_size(
             f"exterior-check on {config.form.label()} k={k} forms dense frames of "
             f"{entries:,} entries per trial (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
-            "time and memory grow with that number", RuntimeWarning, stacklevel=2)
+            "time and memory grow with that number")
 
     def direct_sum(B):   # diag(B, Lambda^k B) of each stacked block
         C = exterior_power_matrix(B, k)

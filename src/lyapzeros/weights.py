@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from operator import sub
 from typing import Iterable, Mapping
@@ -29,25 +30,37 @@ class Weight:
             raise ParameterError("weight coordinates must be doubled integers")
 
     @classmethod
+    def _trusted(cls, doubled: tuple[int, ...]) -> "Weight":
+        """No checks: for the library's own producers of int tuples."""
+        w = object.__new__(cls)
+        w.__dict__["doubled"] = doubled
+        return w
+
+    @classmethod
     def unit(cls, length: int, index: int, sign: int = 1) -> "Weight":
         """The weight sign * f_index (0-based index)."""
         doubled = [0] * length
         doubled[index] = 2 * sign
-        return cls(tuple(doubled))
+        if not isinstance(doubled[index], int):
+            raise ParameterError("weight coordinates must be doubled integers")
+        return cls._trusted(tuple(doubled))
 
     @classmethod
     def zero(cls, length: int) -> "Weight":
-        return cls((0,) * length)
+        return cls._trusted((0,) * length)
 
     @property
     def rank(self) -> int:
         return len(self.doubled)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.doubled)
+        return not any(self.doubled)
+
+    def __hash__(self) -> int:
+        return hash(self.doubled)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.doubled))
+        return Weight._trusted(tuple(-c for c in self.doubled))
 
     def evaluate(self, values) -> float:
         """Pairing with a real coordinate vector of matching length."""
@@ -58,11 +71,14 @@ class Weight:
 
     def __str__(self) -> str:
         # " + f1 - 3/2*f2 + 2*f3" in one join, then the leading sign trimmed
-        text = "".join(
-            f" {'-' if c < 0 else '+'} "
-            f"{'' if c in (2, -2) else f'{abs(c)}/2*' if c % 2 else f'{abs(c) // 2}*'}f{i}"
-            for i, c in enumerate(self.doubled, 1) if c)
+        text = "".join([_term(i, c) for i, c in enumerate(self.doubled, 1) if c])
         return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@lru_cache(maxsize=4096)
+def _term(i: int, c: int) -> str:   # " - 3/2*f2" for i = 2, c = -3
+    return (f" {'-' if c < 0 else '+'} "
+            f"{'' if c in (2, -2) else f'{abs(c)}/2*' if c % 2 else f'{abs(c) // 2}*'}f{i}")
 
 
 class WeightMultiset:
@@ -76,10 +92,7 @@ class WeightMultiset:
 
     def __init__(self, entries: Mapping[Weight, int] | Iterable[Weight]):
         acc: dict[Weight, int] = {}
-        if isinstance(entries, Mapping):
-            pairs = entries.items()
-        else:
-            pairs = ((w, 1) for w in entries)
+        pairs = entries.items() if isinstance(entries, Mapping) else ((w, 1) for w in entries)
         for w, m in pairs:
             if not isinstance(w, Weight):
                 raise ParameterError(f"not a Weight: {w!r}")
@@ -90,7 +103,14 @@ class WeightMultiset:
             raise ParameterError("weight multiset cannot be empty")
         if len({w.rank for w in acc}) != 1:
             raise ParameterError("all weights must share one rank")
-        object.__setattr__(self, "_entries", dict(acc))
+        self._entries = acc
+
+    @classmethod
+    def _trusted(cls, entries: dict[Weight, int]) -> "WeightMultiset":
+        """No checks or copy: for the library's own producers of valid entries."""
+        ms = object.__new__(cls)
+        ms._entries = entries
+        return ms
 
     @property
     def rank(self) -> int:
@@ -102,10 +122,7 @@ class WeightMultiset:
 
     def expand(self) -> list[Weight]:
         """All weights repeated by multiplicity, in canonical order."""
-        out = []
-        for w, m in self.items():
-            out.extend([w] * m)
-        return out
+        return [w for w, m in self.items() for _ in range(m)]
 
     def total(self) -> int:
         return sum(self._entries.values())
@@ -121,9 +138,9 @@ class WeightMultiset:
 
     def scaled(self, factor: int) -> "WeightMultiset":
         """Multiply every multiplicity by a positive integer factor."""
-        if factor <= 0:
-            raise ParameterError("scaling factor must be positive")
-        return WeightMultiset({w: m * factor for w, m in self._entries.items()})
+        if factor <= 0 or not isinstance(factor, int):
+            raise ParameterError("scaling factor must be a positive integer")
+        return WeightMultiset._trusted({w: m * factor for w, m in self._entries.items()})
 
     def __len__(self) -> int:
         return self.total()
@@ -251,9 +268,12 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
         remaining -= m
         packed = pack(w.doubled)
         step = [{} for _ in by_degree]
-        for j, sums in enumerate(by_degree):
+        for j in range(k, -1, -1):   # downward: no lower degree has reached step[j] yet
             # skip the j + b that the remaining weights can no longer lift to k
-            for b in range(max(0, k - remaining - j), min(m, k - j) + 1):
+            sums, lo = by_degree[j], max(0, k - remaining - j)
+            if lo == 0:   # b = 0 adds sums to an empty step[j]: move it there
+                step[j], lo = sums, 1
+            for b in range(lo, min(m, k - j) + 1):
                 coeff = math.comb(m, b)
                 shift = b * packed
                 target = step[j + b]
@@ -267,7 +287,7 @@ def exterior_power(base: WeightMultiset, k: int) -> WeightMultiset:
     if dual:
         sigma = [sum(m * w.doubled[i] for w, m in items) for i in range(rank)]
         sums = {tuple(map(sub, sigma, v)): c for v, c in sums.items()}
-    return WeightMultiset({Weight(v): c for v, c in sums.items()})
+    return WeightMultiset._trusted({Weight._trusted(v): c for v, c in sums.items()})
 
 
 def _leading_sum(column, k: int) -> int:

@@ -200,6 +200,30 @@ class TestWeightsRestricted:
             ms = weights_restricted(form, rep)
             assert ms == WeightMultiset({-w: m for w, m in ms.items()}), (form.label(), rep.label())
 
+    @pytest.mark.parametrize("form", [su(3, 2), so_split(5), so_split(6), so_star(5), sp(3)],
+                             ids=lambda form: form.label())
+    def test_unchecked_producers_pass_the_public_checks(self, form):
+        # the library builds its multisets without Weight/WeightMultiset
+        # validation; each must be one the public constructors accept as is
+        d = form.matrix_dim
+        reps = [RepSpec.standard(), RepSpec.spin(), RepSpec.half_spin("+"),
+                RepSpec.half_spin("-")] + [RepSpec.exterior(k) for k in (1, 2, d - 1)]
+        checked = 0
+        for rep in reps:
+            try:
+                ms = weights_restricted(form, rep)
+            except ParameterError:   # an incoherent pair
+                continue
+            checked += 1
+            for multiset in (ms, ms.scaled(2), WeightMultiset({-w: m for w, m in ms.items()})):
+                assert WeightMultiset(dict(multiset.items())) == multiset
+                assert len({w.rank for w, _ in multiset.items()}) == 1
+                for w, m in multiset.items():
+                    assert type(w) is Weight and type(w.doubled) is tuple
+                    assert all(type(c) is int for c in w.doubled)
+                    assert type(m) is int and m > 0
+        assert checked >= 4
+
 
 class TestLieAlgebraBases:
     @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.label())
@@ -496,6 +520,19 @@ class TestExteriorWeightBound:
             warnings.simplefilter("error")
             with pytest.raises(Reached):
                 weights_restricted(so_star(21), RepSpec.half_spin("-"))
+
+    def test_size_warning_names_the_callers_line(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(lz.realforms, "_restricted_spin", reached)
+        with pytest.warns(RuntimeWarning, match="distinct restricted weights") as records:
+            with pytest.raises(Reached):
+                lz.predict(so_star(22), RepSpec.half_spin("+"))
+        assert [r.filename for r in records] == [__file__]
 
     def test_spin_bound_holds(self):
         for n in range(3, 13):

@@ -457,6 +457,14 @@ class TestVerifyPrediction:
         rec = report.as_record()
         assert json.loads(json.dumps(rec)) == rec
 
+    def test_size_warning_names_the_callers_line(self, monkeypatch):
+        # raised inside lyapunov_spectrum, two library frames below this one
+        monkeypatch.setattr(lz.simulate, "EXTERIOR_WEIGHT_LIMIT", 1)
+        cfg = quick(su(3, 1), RepSpec.exterior(2), steps=200)
+        with pytest.warns(RuntimeWarning, match="6 subset sums") as records:
+            verify_prediction(cfg, predict(cfg.form, cfg.rep))
+        assert [r.filename for r in records] == [__file__]
+
 
 class TestExteriorConsistency:
     def test_k1_identity(self):

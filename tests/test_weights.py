@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +78,24 @@ class TestWeight:
     def test_str_pinned(self, doubled, text):
         assert str(Weight(doubled)) == text
 
+    def test_str_matches_the_unmemoized_formatter(self):
+        def oracle(doubled):   # Weight.__str__ before its terms were memoized
+            text = "".join(
+                f" {'-' if c < 0 else '+'} "
+                f"{'' if c in (2, -2) else f'{abs(c)}/2*' if c % 2 else f'{abs(c) // 2}*'}f{i}"
+                for i, c in enumerate(doubled, 1) if c)
+            return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+        for rank in (1, 2, 3):
+            for doubled in product(range(-7, 8), repeat=rank):
+                assert str(Weight(doubled)) == oracle(doubled), doubled
+
+    def test_unit_rejects_a_non_integer_sign(self):
+        assert Weight.unit(3, 1, -1) == Weight((0, -2, 0))
+        for sign in (0.5, 1.0, Fraction(1, 2)):
+            with pytest.raises(ParameterError):
+                Weight.unit(2, 0, sign)
+
 
 class TestWeightMultiset:
     def test_counts_and_order(self):
@@ -99,8 +117,9 @@ class TestWeightMultiset:
     def test_scaled(self):
         ms = WeightMultiset([W(1, 0)]).scaled(4)
         assert ms.multiplicity(W(1, 0)) == 4
-        with pytest.raises(ParameterError):
-            ms.scaled(0)
+        for factor in (0, -1, 2.0):
+            with pytest.raises(ParameterError):
+                ms.scaled(factor)
 
 
 class TestRepSpec:
