@@ -26,8 +26,8 @@ from . import prediction
 from .errors import (InternalError, NumericalError, ParameterError,
                      UnsupportedFeatureError)
 from .prediction import predict
-from .realforms import (EXTERIOR_WEIGHT_LIMIT, RealFormSpec, so_split, so_star,
-                        sp, su)
+from .realforms import (EXTERIOR_WEIGHT_LIMIT, RealFormSpec, _warn_size, so_split,
+                        so_star, sp, su)
 from .weights import RepSpec, binomial
 
 SCHEMA_VERSION = 1
@@ -39,9 +39,6 @@ EXIT_USAGE = 2
 EXIT_INCOHERENT = 3
 EXIT_MISMATCH = 4
 EXIT_INCONCLUSIVE = 5
-
-# su(p,q) standard rows above which classify warns before building any
-CLASSIFY_ROW_LIMIT = EXTERIOR_WEIGHT_LIMIT
 
 
 def _default_seed() -> int:
@@ -171,13 +168,11 @@ def _admissible_rows(max_dim: int) -> list[dict]:
     for su(p,1) ext:j, (2g, 0) for sp(2g,R), (4n, 4 (n mod 2)) for so*(2n),
     (2^n, 0) for so(2n-1,2) spin and (2^(n-1), 0) for its half-spins. Every
     row of real dimension <= 24 and the largest row of each kind are rebuilt
-    as a form and checked against hodge_admissible and predict."""
+    as a form and checked against hodge_admissible and predict. More su(p,q)
+    standard rows than EXTERIOR_WEIGHT_LIMIT warn before any row is built."""
     su_rows = _su_standard_row_count(max_dim)
-    if su_rows > CLASSIFY_ROW_LIMIT:
-        warnings.warn(
-            f"classify --max-dim {max_dim} lists {su_rows:,} su(p,q) standard rows "
-            f"(warning limit {CLASSIFY_ROW_LIMIT:,}); time and memory grow with "
-            "that number", RuntimeWarning, stacklevel=2)
+    _warn_size(su_rows, EXTERIOR_WEIGHT_LIMIT, lambda: (
+        f"classify --max-dim {max_dim} lists {su_rows:,} su(p,q) standard rows"))
     # one list per kind of row: (real_dim, form, rep, zero_count_real) as the
     # table shows them, then the form's factory and its arguments
     su_exterior = []
@@ -353,7 +348,13 @@ def main(argv=None, out=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Console entry point: ``main`` with warnings printed as ``warning:``
+    lines on stderr, like its error lines."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        code = main()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

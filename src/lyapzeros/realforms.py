@@ -24,12 +24,17 @@ from .weights import (RepKind, RepSpec, Weight, WeightMultiset, exterior_power,
 EXTERIOR_WEIGHT_LIMIT = 100_000
 
 
-def _warn_size(message: str) -> None:
-    """A RuntimeWarning located at the first caller outside this package."""
+def _warn_size(count: int, limit: int, message, costs: str = "time and memory") -> None:
+    """Above ``limit``, a RuntimeWarning reading message() and "(warning
+    limit N); <costs> grow with that number", located at the first caller
+    outside this package. message() runs only then."""
+    if count <= limit:
+        return
     frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__)
     while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
         frame, level = frame.f_back, level + 1
-    warnings.warn(message, RuntimeWarning, stacklevel=level)
+    warnings.warn(f"{message()} (warning limit {limit:,}); {costs} grow with that number",
+                  RuntimeWarning, stacklevel=level)
 
 
 class Family(Enum):
@@ -80,11 +85,9 @@ class RealFormSpec:
     @property
     def ambient_dim(self) -> int:
         """Number of e-basis coordinates (columns of restriction_map)."""
-        if self.family is Family.SU:
-            return self.p + self.q
-        if self.family is Family.SP:
-            return self.g
-        return self.n
+        if self.series == "A":
+            return self.matrix_dim
+        return self.matrix_dim // 2
 
     @property
     def restricted_rank(self) -> int:
@@ -120,29 +123,21 @@ class RealFormSpec:
 
     @property
     def algebra_dim(self) -> int:
-        if self.family is Family.SU:
-            return (self.p + self.q) ** 2 - 1
-        if self.family is Family.SO_ODD:
-            d = 2 * self.n + 1
-            return d * (d - 1) // 2
-        if self.family is Family.SO_EVEN:
-            d = 2 * self.n
-            return d * (d - 1) // 2
-        if self.family is Family.SO_STAR:
-            return self.n * (2 * self.n - 1)
-        return self.g * (2 * self.g + 1)
+        d = self.matrix_dim
+        if self.series == "A":
+            return d * d - 1
+        if self.series == "C":
+            return d * (d + 1) // 2
+        return d * (d - 1) // 2       # B and D, so*(2n) included
 
     @property
     def relative_root_type(self) -> str:
-        """Relative root system of the form (metadata only)."""
-        if self.family is Family.SU:
-            return f"BC{self.q}" if self.p > self.q else f"C{self.q}"
+        """Relative root system of the form (metadata only): B2 for so(m,2),
+        else BC when the restricted standard weights include 0 and C if not."""
         if self.family in (Family.SO_ODD, Family.SO_EVEN):
             return "B2"
-        if self.family is Family.SO_STAR:
-            m = self.n // 2
-            return f"C{m}" if self.n % 2 == 0 else f"BC{m}"
-        return f"C{self.g}"
+        prefix = "BC" if standard_multiplicities(self)[1] else "C"
+        return f"{prefix}{self.restricted_rank}"
 
     def label(self) -> str:
         if self.family is Family.SU:
@@ -296,11 +291,8 @@ def weights_restricted(form: RealFormSpec, rep: RepSpec) -> WeightMultiset:
     else:
         base, degree = _restricted_standard(form), rep.degree
     bound = exterior_power_bound(base, degree)
-    if bound > EXTERIOR_WEIGHT_LIMIT:
-        _warn_size(
-            f"{form.label()} {rep.label()} may have up to {bound:,} distinct "
-            f"restricted weights (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
-            "time and memory grow with that number")
+    _warn_size(bound, EXTERIOR_WEIGHT_LIMIT, lambda: (
+        f"{form.label()} {rep.label()} may have up to {bound:,} distinct restricted weights"))
     if rep.is_spin_like():
         return _restricted_spin(form, rep)
     return exterior_power(base, degree)

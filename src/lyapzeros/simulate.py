@@ -36,8 +36,7 @@ import numpy as np
 
 from ._expm import real_form, times
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
-from .prediction import (LyapunovVector, SpectrumPrediction, evaluate_spectrum,
-                         realified_weights)
+from .prediction import LyapunovVector, SpectrumPrediction
 from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
                         _check_coherent, _warn_size, exterior_power_matrix,
                         form_preservation_errors, lie_algebra_basis,
@@ -45,8 +44,9 @@ from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
-# bytes of one trial's chunk buffers (its coefficients, X and steps) above
-# which a run warns before sampling
+# bytes above which a run warns before sampling: of one trial's chunk buffers
+# (its coefficients, X and steps), and of every trial's folded blocks of a
+# chunk, which the QR loop holds and stacks once more
 _CHUNK_MEMORY_LIMIT = 2 ** 30
 # largest |sum of a trial's exponents| accepted. At the default scale and
 # renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
@@ -321,16 +321,18 @@ def _run_with_retry(config: SimConfig, rep=None):
     once at half the renorm interval, since shorter blocks are better
     conditioned; a second failure raises NumericalError. The sum rule holds
     for the first matrix_dim columns and for the rest, if ``rep`` adds any.
-    Chunks over ``_CHUNK_MEMORY_LIMIT`` warn first."""
+    A chunk's buffers or its blocks over ``_CHUNK_MEMORY_LIMIT`` warn first."""
     form, d = config.form, config.form.matrix_dim
     sampler = lie_algebra_basis(form, config.scale)
     chunk = min(config.steps, _CHUNK_TARGET)
-    nbytes = chunk * (8 * form.algebra_dim + 3 * d * d * sampler.dtype.itemsize)
-    if nbytes > _CHUNK_MEMORY_LIMIT:
-        _warn_size(
-            f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial "
-            f"(warning limit {_CHUNK_MEMORY_LIMIT:,}); memory grows with min(steps, "
-            f"{_CHUNK_TARGET:,})")
+    matrix_bytes = d * d * sampler.dtype.itemsize
+    nbytes = chunk * (8 * form.algebra_dim + 3 * matrix_bytes)
+    _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
+        f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial"))
+    held = 2 * config.trials * math.ceil(chunk / config.renorm_interval) * matrix_bytes
+    _warn_size(held, _CHUNK_MEMORY_LIMIT, lambda: (
+        f"{form.label()} runs of {config.trials:,} trials hold {held:,} bytes of "
+        "folded blocks per chunk"))
     for interval in (config.renorm_interval, config.renorm_interval // 2):
         if interval == 0:   # renorm_interval 1 has no half
             break
@@ -395,11 +397,9 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
     rep = config.rep
     if rep.kind is RepKind.EXTERIOR:
         sums = binomial(config.form.matrix_dim, rep.degree)
-        if sums > EXTERIOR_WEIGHT_LIMIT:
-            _warn_size(
-                f"{config.form.label()} {rep.label()} forms {sums:,} subset sums per "
-                f"trial (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); time, memory and "
-                "output grow with that number")
+        _warn_size(sums, EXTERIOR_WEIGHT_LIMIT, lambda: (
+            f"{config.form.label()} {rep.label()} forms {sums:,} subset sums per trial"),
+            "time, memory and output")
 
     t0 = time.perf_counter()
     per_trial, sample_err, block_err, interval_used = _run_with_retry(config)
@@ -476,7 +476,7 @@ def verify_prediction(config: SimConfig, prediction: SpectrumPrediction) -> Verd
 
     Match requires the zero cluster to have exactly the predicted real
     size and the full spectrum to agree, exponent by exponent, with the
-    restricted weights evaluated at the estimated Lyapunov vector, within
+    prediction's weights evaluated at the estimated Lyapunov vector, within
     max(0.05 * lambda_max, 3 * stderr_i).
     """
     if prediction.form != config.form or prediction.rep != config.rep:
@@ -501,7 +501,10 @@ def verify_prediction(config: SimConfig, prediction: SpectrumPrediction) -> Verd
         return VerdictReport("inconclusive",
                              tuple(details) + (f"Lyapunov vector estimate failed: {exc}",),
                              prediction, result, None, None)
-    expected = evaluate_spectrum(realified_weights(config.form, config.rep), lam_hat)
+    expected = [0.0] * prediction.zero_count_real
+    for w, m in prediction.nonzero_structure:
+        expected += [w.evaluate(lam_hat.values)] * m
+    expected.sort(reverse=True)
     structure_ok, worst, _ = _within_tolerance(result.exponents, expected, result.stderr,
                                                result.exponents[0])
     if structure_ok:
@@ -559,11 +562,9 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
     if not 1 <= k <= d:
         raise ParameterError(f"exterior degree {k} out of range 1..{d}")
     entries = (d + binomial(d, k)) ** 2
-    if entries > EXTERIOR_WEIGHT_LIMIT:
-        _warn_size(
-            f"exterior-check on {config.form.label()} k={k} forms dense frames of "
-            f"{entries:,} entries per trial (warning limit {EXTERIOR_WEIGHT_LIMIT:,}); "
-            "time and memory grow with that number")
+    _warn_size(entries, EXTERIOR_WEIGHT_LIMIT, lambda: (
+        f"exterior-check on {config.form.label()} k={k} forms dense frames of "
+        f"{entries:,} entries per trial"))
 
     def direct_sum(B):   # diag(B, Lambda^k B) of each stacked block
         C = exterior_power_matrix(B, k)

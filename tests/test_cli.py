@@ -91,6 +91,26 @@ class TestPredict:
             run_cli(["predict", "--group", "unknown"])
         assert exc.value.code == 2
 
+    def test_console_prints_warnings_as_lines(self):
+        # cli.run serves the console script and python -m: a size warning is
+        # one "warning:" line on stderr, with no source location
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, lyapzeros.realforms\n"
+                "lyapzeros.realforms.EXTERIOR_WEIGHT_LIMIT = 1\n"
+                "from lyapzeros import cli\n"
+                "sys.argv = ['lyapzeros', 'predict', '--group', 'su', '--p', '3', '--q', '1',"
+                " '--rep', 'ext:2']\n"
+                "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "zero_count_real: 4" in proc.stdout
+        assert proc.stderr == (
+            "warning: su(3,1) ext:2 may have up to 3 distinct restricted weights "
+            "(warning limit 1); time and memory grow with that number\n")
+
 
 SU31_EXT2 = ["predict", "--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2"]
 
@@ -220,6 +240,19 @@ class TestClassify:
             warnings.simplefilter("error")
             with pytest.raises(FirstRow):
                 run_cli(["classify", "--max-dim", "1000"])
+
+    def test_large_table_warning_names_the_callers_line(self, monkeypatch):
+        class FirstRow(Exception):
+            pass
+
+        def first_row(*args):
+            raise FirstRow
+
+        monkeypatch.setattr(cli, "binomial", first_row)
+        with pytest.warns(RuntimeWarning, match="standard rows") as records:
+            with pytest.raises(FirstRow):
+                cli.main(["classify", "--max-dim", "2000"])
+        assert [r.filename for r in records] == [__file__]
 
     @pytest.mark.parametrize("max_dim", [0, 4, 12, 24, 41, 120, 240])
     def test_su_exterior_rows_are_complete(self, max_dim):

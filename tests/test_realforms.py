@@ -70,6 +70,18 @@ class TestRealFormSpec:
         assert so_star(3).relative_root_type == "BC1"
         assert so_star(4).relative_root_type == "C2"
 
+    @pytest.mark.parametrize("form,algebra_dim,ambient_dim,root_type", [
+        (su(2, 1), 8, 3, "BC1"), (su(5, 2), 48, 7, "BC2"), (su(4, 4), 63, 8, "C4"),
+        (so_split(3), 10, 2, "B2"), (so_split(4), 15, 3, "B2"), (so_split(5), 21, 3, "B2"),
+        (so_split(6), 28, 4, "B2"), (so_star(2), 6, 2, "C1"), (so_star(3), 15, 3, "BC1"),
+        (so_star(4), 28, 4, "C2"), (so_star(5), 45, 5, "BC2"), (sp(1), 3, 1, "C1"),
+        (sp(3), 21, 3, "C3")])
+    def test_derived_properties(self, form, algebra_dim, ambient_dim, root_type):
+        assert (form.algebra_dim, form.ambient_dim, form.relative_root_type) == \
+            (algebra_dim, ambient_dim, root_type)
+        # the basis builder refuses a count other than algebra_dim
+        assert lie_algebra_basis(form).basis.shape[0] == algebra_dim
+
 
 class TestRestrictionMap:
     def test_su31(self):

@@ -266,6 +266,24 @@ class TestLyapunovSpectrum:
                 with pytest.raises(Sampled):
                     lyapunov_spectrum(SimConfig(form=form))
 
+    def test_held_blocks_warn_before_sampling(self, monkeypatch):
+        # every trial's folded blocks of a chunk are held and stacked once more:
+        # 2 * trials * (20,000 / 10) * 8^2 * 16 bytes for su(4,4), 1.23e9 at 300 trials
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
+        with pytest.warns(RuntimeWarning, match="1,228,800,000 bytes of folded blocks"):
+            with pytest.raises(Sampled):
+                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Sampled):
+                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=100))
+
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=1,
@@ -464,6 +482,20 @@ class TestVerifyPrediction:
         with pytest.warns(RuntimeWarning, match="6 subset sums") as records:
             verify_prediction(cfg, predict(cfg.form, cfg.rep))
         assert [r.filename for r in records] == [__file__]
+
+    def test_expected_spectrum_is_read_off_the_prediction(self, monkeypatch):
+        cfg = quick(su(3, 1), RepSpec.exterior(2), steps=200, trials=2)
+        pred = predict(cfg.form, cfg.rep)
+
+        def recomputed(*args):
+            raise AssertionError("verify_prediction recomputed the restricted weights")
+
+        monkeypatch.setattr(lz.prediction, "weights_restricted", recomputed)
+        report = verify_prediction(cfg, pred)
+        monkeypatch.undo()
+        assert report.expected_exponents is not None
+        assert list(report.expected_exponents) == lz.evaluate_spectrum(
+            lz.realified_weights(cfg.form, cfg.rep), report.lambda_hat)
 
 
 class TestExteriorConsistency:
