@@ -46,7 +46,7 @@ from .weights import RepKind, RepSpec, binomial, k_subsets
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
 # bytes above which a run warns before sampling: of one trial's chunk buffers
 # (its coefficients, X and steps), and of every trial's folded blocks of a
-# chunk, which the QR loop holds and stacks once more
+# chunk at the smallest renorm interval the run may use
 _CHUNK_MEMORY_LIMIT = 2 ** 30
 # largest |sum of a trial's exponents| accepted. At the default scale and
 # renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
@@ -208,8 +208,9 @@ def _block_bounds(total: int, interval: int, chunk: int) -> list[tuple[int, int]
     return bounds
 
 
-def _fold_blocks(G: np.ndarray, interval: int) -> np.ndarray:
-    """Products over consecutive blocks of ``interval`` matrices.
+def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> None:
+    """Products over consecutive blocks of ``interval`` matrices, written
+    to ``out`` (blocks, d, d).
 
     The tail block may be shorter. Product order matches cocycle order:
     the last matrix of a block is applied last, so each step multiplies
@@ -219,14 +220,12 @@ def _fold_blocks(G: np.ndarray, interval: int) -> np.ndarray:
     nfull = m // interval
     stacks = [G[:nfull * interval].reshape(nfull, interval, d, d),
               G[nfull * interval:][None]]
-    blocks = []
-    for body in stacks:          # (blocks, length, d, d)
+    for body, dest in zip(stacks, (out[:nfull], out[nfull:])):   # (blocks, length, d, d)
         if body.size:
             B = body[:, 0]
             for j in range(1, body.shape[1]):
                 B = times(body[:, j], real_form(B))
-            blocks.append(B)
-    return np.concatenate(blocks, axis=0)
+            dest[...] = B
 
 
 def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:
@@ -234,15 +233,15 @@ def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:
 
 
 def _sample_trial(sampler: GroupSampler, interval: int, count: int,
-                  rng: np.random.Generator):
-    """One trial's chunk of ``count`` steps: (its blocks of ``interval``
-    steps, max sample form error, max block form error)."""
+                  rng: np.random.Generator, out: np.ndarray):
+    """One trial's chunk of ``count`` steps, folded into its blocks of
+    ``interval`` steps in ``out``: (max sample, max block form error)."""
     G = sample_group_elements(sampler, rng, count)
     sample_err = _max_form_error(sampler, G)
-    B = _fold_blocks(G, interval)
-    if not np.isfinite(B).all():
+    _fold_blocks(G, interval, out)
+    if not np.isfinite(out).all():
         raise _CocycleOverflow("block product overflow")
-    return B, sample_err, _max_form_error(sampler, B)
+    return sample_err, _max_form_error(sampler, out)
 
 
 def _worker_count(trials: int) -> int:
@@ -259,21 +258,23 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     """QR scheme for all trials at once, trial j drawing from ``rngs[j]``.
 
     Each chunk, every trial samples, checks and folds its own blocks
-    (``_sample_trial``) on one of min(2, usable CPUs, trials) threads, which
-    live for this call only; the blocks of all trials are then multiplied
-    into the stacked frames (trials, d, d) with one stacked QR per block.
+    (``_sample_trial``) into its column of one (blocks, trials, d, d) array,
+    on one of min(2, usable CPUs, trials) threads, which live for this call
+    only; the blocks are then multiplied into the stacked frames
+    (trials, d, d) with one stacked QR per block. The logs of |diag R|,
+    their finiteness check and their accumulation run once per chunk.
     Trial j's result depends neither on the other trials nor on the thread
     count, and errors surface in trial order. ``rep``, if given, maps each
     stacked block to the matrices the frames are multiplied by instead (the
     direct sums g + Lambda^k g of exterior_consistency_check).
     """
     rep = rep or (lambda B: B)
-    eye = rep(np.eye(sampler.matrix_dim, dtype=sampler.dtype))
+    d = sampler.matrix_dim
+    eye = rep(np.eye(d, dtype=sampler.dtype))
     Q = np.broadcast_to(eye, (len(rngs),) + eye.shape)
     acc = np.zeros(Q.shape[:-1])
     max_sample_err = 0.0
     max_block_err = 0.0
-    seen = 0   # steps consumed so far; accumulation starts after warmup
     workers = _worker_count(len(rngs))
     pool = None
     if workers > 1:
@@ -283,20 +284,26 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
         pool = ThreadPoolExecutor(workers)
     try:
         for lo, hi in _block_bounds(steps, interval, _CHUNK_TARGET):
+            nblocks = -(-(hi - lo) // interval)
+            held = np.empty((nblocks, len(rngs), d, d), sampler.dtype)
             trial = partial(_sample_trial, sampler, interval, hi - lo)
-            blocks, sample_errs, block_errs = zip(*(pool.map if pool else map)(trial, rngs))
+            errs = (pool.map if pool else map)(trial, rngs, np.swapaxes(held, 0, 1))
+            sample_errs, block_errs = zip(*errs)
             max_sample_err = max(max_sample_err, *sample_errs)
             max_block_err = max(max_block_err, *block_errs)
-            for B in np.stack(blocks, axis=1):    # one block of every trial
+            # |diag R| of block i in logs[i + 1]; logs[0] takes acc below
+            logs = np.empty((nblocks + 1,) + acc.shape)
+            for i, B in enumerate(held):    # one block of every trial
                 Q, R = np.linalg.qr(rep(B) @ Q)
-                if seen >= warmup:   # warmup is a multiple of interval
-                    # log 0 reads -inf, refused just below
-                    with np.errstate(divide="ignore"):
-                        logd = np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
-                    if not np.isfinite(logd).all():
-                        raise _CocycleOverflow("degenerate QR factor")
-                    acc += logd
-                seen += min(interval, steps - seen)
+                np.abs(np.diagonal(R, axis1=-2, axis2=-1), out=logs[i + 1])
+            # lo and warmup are multiples of interval: accumulate from block skip
+            logs = logs[min(nblocks, max(0, (warmup - lo) // interval)):]
+            with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
+                np.log(logs[1:], out=logs[1:])
+            if not np.isfinite(logs[1:]).all():
+                raise _CocycleOverflow("degenerate QR factor")
+            logs[0] = acc
+            acc = np.add.reduce(logs, axis=0)   # in block order, as acc += log
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -321,7 +328,8 @@ def _run_with_retry(config: SimConfig, rep=None):
     once at half the renorm interval, since shorter blocks are better
     conditioned; a second failure raises NumericalError. The sum rule holds
     for the first matrix_dim columns and for the rest, if ``rep`` adds any.
-    A chunk's buffers or its blocks over ``_CHUNK_MEMORY_LIMIT`` warn first."""
+    A chunk's buffers, or its blocks at the retry's interval, over
+    ``_CHUNK_MEMORY_LIMIT`` warn first."""
     form, d = config.form, config.form.matrix_dim
     sampler = lie_algebra_basis(form, config.scale)
     chunk = min(config.steps, _CHUNK_TARGET)
@@ -329,13 +337,14 @@ def _run_with_retry(config: SimConfig, rep=None):
     nbytes = chunk * (8 * form.algebra_dim + 3 * matrix_bytes)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial"))
-    held = 2 * config.trials * math.ceil(chunk / config.renorm_interval) * matrix_bytes
+    intervals = [config.renorm_interval, config.renorm_interval // 2]
+    if intervals[1] == 0:   # renorm_interval 1 has no half
+        intervals.pop()
+    held = config.trials * math.ceil(chunk / intervals[-1]) * matrix_bytes
     _warn_size(held, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} runs of {config.trials:,} trials hold {held:,} bytes of "
-        "folded blocks per chunk"))
-    for interval in (config.renorm_interval, config.renorm_interval // 2):
-        if interval == 0:   # renorm_interval 1 has no half
-            break
+        f"folded blocks per chunk at renorm interval {intervals[-1]}"))
+    for interval in intervals:
         rngs = [_trial_rng(config.master_seed, j) for j in range(config.trials)]
         try:
             out = _run_lockstep(sampler, config.steps, config.resolved_warmup(interval),
