@@ -208,9 +208,9 @@ def _block_bounds(total: int, interval: int, chunk: int) -> list[tuple[int, int]
     return bounds
 
 
-def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> None:
+def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray | None = None) -> np.ndarray:
     """Products over consecutive blocks of ``interval`` matrices, written
-    to ``out`` (blocks, d, d).
+    to ``out`` (blocks, d, d) if given.
 
     The tail block may be shorter. Product order matches cocycle order:
     the last matrix of a block is applied last, so each step multiplies
@@ -218,6 +218,8 @@ def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> None:
     """
     m, d = G.shape[0], G.shape[-1]
     nfull = m // interval
+    if out is None:
+        out = np.empty((-(-m // interval), d, d), G.dtype)
     stacks = [G[:nfull * interval].reshape(nfull, interval, d, d),
               G[nfull * interval:][None]]
     for body, dest in zip(stacks, (out[:nfull], out[nfull:])):   # (blocks, length, d, d)
@@ -226,6 +228,7 @@ def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> None:
             for j in range(1, body.shape[1]):
                 B = times(body[:, j], real_form(B))
             dest[...] = B
+    return out
 
 
 def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapzeros import lie_algebra_basis, so_split, so_star, sp, su
+from lyapzeros import _expm, lie_algebra_basis, so_split, so_star, sp, su
 from lyapzeros._expm import cayley_batch, real_form, times
 from lyapzeros.errors import NumericalError
 from lyapzeros.realforms import form_preservation_errors
@@ -40,7 +40,8 @@ def test_inverse_identity():
     assert err < 1e-12
 
 
-@pytest.mark.parametrize("form", [su(3, 1), so_star(3), sp(2)], ids=lambda f: f.label())
+@pytest.mark.parametrize("form", [su(3, 1), so_star(3), sp(2), so_split(5), su(5, 1)],
+                         ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.3, 5.0])
 def test_result_is_bit_identical_in_any_batch(form, scale):
     # same s: pair each matrix with the batch's largest-norm one
@@ -49,7 +50,8 @@ def test_result_is_bit_identical_in_any_batch(form, scale):
     top = _norms(X).argmax()
     for i in (0, 511, 512, 1199):
         assert np.array_equal(cayley_batch(X[[i, top]])[0], whole[i])
-    assert np.array_equal(cayley_batch(X[600:1100]), whole[600:1100])
+    part = np.concatenate([X[600:1100], X[[top]]])
+    assert np.array_equal(cayley_batch(part)[:500], whole[600:1100])
 
 
 def _complex_stack(rng, shape):
@@ -132,3 +134,54 @@ def test_single_matrix_matches_scipy():
     X = 0.1 * np.random.default_rng(4).standard_normal((6, 6))
     assert cayley_batch(X).shape == (6, 6)
     _within_third_order_of_expm(X)
+
+
+# the largest real and complex forms below the cutoff, d = 11
+CUTOFF_FORMS = [so_split(9), su(10, 1)]
+
+
+@pytest.mark.parametrize("form", BENCH_FORMS + CUTOFF_FORMS, ids=lambda f: f.label())
+@pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
+def test_gauss_jordan_agrees_with_lapack(form, scale, monkeypatch):
+    assert form.matrix_dim <= _expm._GAUSS_JORDAN_MAX_DIM
+    X = _samples(form, scale, 1200, seed=2)
+    g = cayley_batch(X)
+    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", 0)
+    want = cayley_batch(X)
+    bound = 1e-14 * max(1.0, float(np.abs(want).max())) ** 2
+    assert np.abs(g - want).max() <= bound
+
+
+@pytest.mark.parametrize("form", BENCH_FORMS + CUTOFF_FORMS, ids=lambda f: f.label())
+@pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
+def test_scaled_batches_are_column_diagonally_dominant(form, scale, monkeypatch):
+    # the Gauss-Jordan solve does not pivot: |1 - h_jj| > sum_{i != j} |h_ij|
+    # for every column j of every matrix it receives
+    seen = []
+    real = _expm._solve_gauss_jordan
+
+    def spy(H):
+        seen.append(H.copy())
+        return real(H)
+
+    monkeypatch.setattr(_expm, "_solve_gauss_jordan", spy)
+    cayley_batch(_samples(form, scale, 1200, seed=3))
+    assert len(seen) == 3       # slices of 512, 512 and 176 matrices
+    for H in seen:
+        diag = np.diagonal(H, axis1=-2, axis2=-1)
+        off = np.abs(H).sum(axis=-2) - np.abs(diag)
+        assert (np.abs(1 - diag) > off).all()
+
+
+@pytest.mark.parametrize("form", [so_split(10), su(6, 6)], ids=lambda f: f.label())
+@pytest.mark.parametrize("scale", [0.05, 0.3])
+def test_above_the_cutoff_keeps_the_lapack_solve(form, scale):
+    assert form.matrix_dim == _expm._GAUSS_JORDAN_MAX_DIM + 1
+    X = _samples(form, scale, 600, seed=4)
+    s = max(0, math.ceil(math.log2(_norms(X).max())))
+    eye = np.eye(form.matrix_dim)
+    H = X * 2.0 ** -(s + 1)
+    want = np.linalg.solve(eye - H, eye + H)
+    for _ in range(s):
+        want = times(want, real_form(want))
+    assert np.array_equal(cayley_batch(X), want)

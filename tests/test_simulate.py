@@ -267,8 +267,9 @@ class TestLyapunovSpectrum:
                     lyapunov_spectrum(SimConfig(form=form))
 
     def test_held_blocks_warn_before_sampling(self, monkeypatch):
-        # every trial's folded blocks of a chunk are held and stacked once more:
-        # 2 * trials * (20,000 / 10) * 8^2 * 16 bytes for su(4,4), 1.23e9 at 300 trials
+        # every trial's folded blocks of a chunk are held once, counted at the
+        # retry's interval 5: trials * (20,000 / 5) * 8^2 * 16 bytes for
+        # su(4,4), 1.23e9 at 300 trials
         class Sampled(Exception):
             pass
 
@@ -283,6 +284,53 @@ class TestLyapunovSpectrum:
             warnings.simplefilter("error")
             with pytest.raises(Sampled):
                 lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=100))
+
+    def test_retry_blocks_warn_before_sampling(self, monkeypatch):
+        # su(4,4) at interval 3 holds 60 * 6,667 * 8^2 * 16 = 4.1e8 bytes of
+        # blocks per chunk, but its retry at interval 1 holds 1.23e9
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
+        with pytest.warns(RuntimeWarning, match="1,228,800,000 bytes of folded blocks "
+                                                "per chunk at renorm interval 1"):
+            with pytest.raises(Sampled):
+                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=60,
+                                            renorm_interval=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Sampled):
+                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=50,
+                                            renorm_interval=3))
+
+    @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
+    def test_chunked_accumulation_adds_block_by_block(self, form, monkeypatch):
+        # three chunks, a warmup of 29 blocks and a 5-step tail block: the
+        # per-chunk sums give the bits of a running sum over the blocks
+        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        steps, warmup, interval, trials = 2995, 290, 10, 3
+        sampler = lz.lie_algebra_basis(form, 0.3)
+
+        def rngs():
+            return [lz.simulate._trial_rng(7, j) for j in range(trials)]
+
+        got = lz.simulate._run_lockstep(sampler, steps, warmup, interval, rngs())[0]
+        Q = np.eye(form.matrix_dim, dtype=sampler.dtype)
+        acc = np.zeros((trials, form.matrix_dim))
+        seen = 0
+        streams = rngs()
+        for lo, hi in _block_bounds(steps, interval, 1000):
+            blocks = np.stack([_fold_blocks(lz.sample_group_elements(sampler, rng, hi - lo),
+                                            interval) for rng in streams], axis=1)
+            for B in blocks:
+                Q, R = np.linalg.qr(B @ Q)
+                if seen >= warmup:
+                    acc += np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
+                seen += min(interval, steps - seen)
+        assert np.array_equal(got, acc / (steps - warmup))
 
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
