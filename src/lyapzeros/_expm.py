@@ -24,13 +24,14 @@ swap rows (Higham, "Accuracy and Stability of Numerical Algorithms",
 elimination. The cutoff is the measured crossover: on slices of 512,
 Gauss-Jordan took 0.26-0.67 of LAPACK's time at every d = 2..11, real and
 complex, and 1.04-1.22 of it at complex d = 12. Larger d keep the stacked
-LAPACK solve. A complex product A @ B is
-computed as ``times(A, real_form(B))``, one real (d, 2d) @ (2d, 2d) GEMM
-per matrix, which numpy runs several times faster than its stacked
-complex matmul; a real stack goes through the same calls. A matrix's
-result depends only on itself and on s, so it is bit-identical whatever
-batch or slice it is computed in, as long as the batch's largest norm
-selects the same s.
+LAPACK solve.
+
+A complex product A @ B is computed as ``times(A, real_form(B))``, one
+real (d, 2d) @ (2d, 2d) GEMM per matrix, which numpy runs several times
+faster than its stacked complex matmul; a real stack goes through the
+same calls. A matrix's result depends only on itself and on s, so it is
+bit-identical whatever batch or slice it is computed in, as long as the
+batch's largest norm selects the same s.
 
 Overflow in the squaring phase is silent: it surfaces as non-finite
 output for callers to check, not as a RuntimeWarning.
@@ -79,8 +80,8 @@ def _solve_gauss_jordan(H: np.ndarray) -> np.ndarray:
     strictly column diagonally dominant, by Gauss-Jordan elimination
     without pivoting on M = [I - H | I + H], laid out (d, 2d, n): step k
     scales row k by 1 / M[k, k] and subtracts column k times row k from
-    the rows above and below it. Columns up to k are unit vectors by then
-    and are not updated."""
+    the rows above and below it. Columns 0..k are never read again, so
+    they are not updated."""
     n, d = H.shape[0], H.shape[-1]
     Ht = H.transpose(1, 2, 0)
     M = np.empty((d, 2 * d, n), H.dtype)

@@ -208,7 +208,8 @@ def _block_bounds(total: int, interval: int, chunk: int) -> list[tuple[int, int]
     return bounds
 
 
-def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray | None = None) -> np.ndarray:
+def _fold_blocks(G: np.ndarray, interval: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Products over consecutive blocks of ``interval`` matrices, written
     to ``out`` (blocks, d, d) if given.
 
@@ -294,19 +295,20 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
             sample_errs, block_errs = zip(*errs)
             max_sample_err = max(max_sample_err, *sample_errs)
             max_block_err = max(max_block_err, *block_errs)
-            # |diag R| of block i in logs[i + 1]; logs[0] takes acc below
+            # row i + 1 takes |diag R| of block i; the warmup blocks are then
+            # dropped (lo and warmup are multiples of interval), and the row
+            # before the first block kept takes acc
             logs = np.empty((nblocks + 1,) + acc.shape)
             for i, B in enumerate(held):    # one block of every trial
                 Q, R = np.linalg.qr(rep(B) @ Q)
                 np.abs(np.diagonal(R, axis1=-2, axis2=-1), out=logs[i + 1])
-            # lo and warmup are multiples of interval: accumulate from block skip
             logs = logs[min(nblocks, max(0, (warmup - lo) // interval)):]
             with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
                 np.log(logs[1:], out=logs[1:])
             if not np.isfinite(logs[1:]).all():
                 raise _CocycleOverflow("degenerate QR factor")
             logs[0] = acc
-            acc = np.add.reduce(logs, axis=0)   # in block order, as acc += log
+            acc = np.add.reduce(logs, axis=0)   # block by block, as a running sum
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -340,14 +342,14 @@ def _run_with_retry(config: SimConfig, rep=None):
     nbytes = chunk * (8 * form.algebra_dim + 3 * matrix_bytes)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial"))
-    intervals = [config.renorm_interval, config.renorm_interval // 2]
-    if intervals[1] == 0:   # renorm_interval 1 has no half
-        intervals.pop()
-    held = config.trials * math.ceil(chunk / intervals[-1]) * matrix_bytes
+    smallest = max(1, config.renorm_interval // 2)
+    held = config.trials * math.ceil(chunk / smallest) * matrix_bytes
     _warn_size(held, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} runs of {config.trials:,} trials hold {held:,} bytes of "
-        f"folded blocks per chunk at renorm interval {intervals[-1]}"))
-    for interval in intervals:
+        f"folded blocks per chunk at renorm interval {smallest}"))
+    for interval in (config.renorm_interval, config.renorm_interval // 2):
+        if interval == 0:   # renorm_interval 1 has no half
+            break
         rngs = [_trial_rng(config.master_seed, j) for j in range(config.trials)]
         try:
             out = _run_lockstep(sampler, config.steps, config.resolved_warmup(interval),

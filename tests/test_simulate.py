@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import os
+import sys
 import threading
 import warnings
 from itertools import combinations
@@ -429,6 +430,23 @@ class TestTrialThreads:
         (serial, serial_record), (threaded, threaded_record) = runs
         assert np.array_equal(serial, threaded)
         assert serial_record == threaded_record
+
+    def test_threads_write_their_own_trials_of_the_shared_blocks(self, monkeypatch):
+        # every trial folds into its column of one chunk array; eight threads
+        # switching every microsecond must give the serial run's bits
+        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        cfg = quick(su(3, 1), steps=3000, trials=8)
+        usable_cpus(monkeypatch, 1)
+        serial = self.bits(lyapunov_spectrum(cfg))
+        monkeypatch.setattr(lz.simulate, "_worker_count", lambda trials: trials)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.bits(lyapunov_spectrum(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial[0], threaded[0])
+        assert serial[1] == threaded[1]
 
     def test_thread_count_does_not_change_the_direct_sum_run(self, monkeypatch, pools):
         records = []
