@@ -12,16 +12,21 @@ conditioned. Unscaled steps (s = 0) are not: near an eigenvalue 2 of X
 they are near-singular. An all-zero batch gives the identity exactly.
 
 The batch is processed in slices of at most ``_SLICE`` = 512 matrices, so
-the working set stays bounded; each slice is one solve of
-(I - A) R = I + A and s squarings. For d <= ``_GAUSS_JORDAN_MAX_DIM`` the
-solve is batch-last Gauss-Jordan elimination (``_solve_gauss_jordan``): a
-few array operations per column over the whole slice, where a stacked
-``np.linalg.solve`` makes one LAPACK call per matrix and its per-call
-overhead dominates. ||A||_1 <= 1/2 makes I - A strictly column diagonally
-dominant, so elimination needs no pivoting: partial pivoting would never
-swap rows (Higham, "Accuracy and Stability of Numerical Algorithms",
-2002, sec. 9.5), and Gauss-Jordan meets the same pivots as Gaussian
-elimination. The cutoff is the measured crossover: on slices of 512,
+the working set stays bounded: one pass takes the largest 1-norm slice by
+slice, and a second solves (I - A) R = I + A for each slice, squares it s
+times and writes the result over the slice. ``cayley_in_place`` is that
+core and steps its argument in place; the sampler calls it on its own X,
+so a chunk of steps is held in one buffer. ``cayley_batch`` copies its
+argument first and leaves the caller's array untouched.
+
+For d <= ``_GAUSS_JORDAN_MAX_DIM`` the solve is batch-last Gauss-Jordan
+elimination (``_solve_gauss_jordan``): a few array operations per column
+over the whole slice, where a stacked ``np.linalg.solve`` makes one LAPACK
+call per matrix and its per-call overhead dominates. ||A||_1 <= 1/2 makes
+I - A strictly column diagonally dominant, so elimination needs no
+pivoting: partial pivoting would never swap rows (Higham, "Accuracy and
+Stability of Numerical Algorithms", 2002, sec. 9.5), and Gauss-Jordan
+meets the same pivots as Gaussian elimination. The cutoff is the measured crossover: on slices of 512,
 Gauss-Jordan took 0.26-0.67 of LAPACK's time at every d = 2..11, real and
 complex, and 1.04-1.22 of it at complex d = 12. Larger d keep the stacked
 LAPACK solve.
@@ -99,27 +104,40 @@ def _solve_gauss_jordan(H: np.ndarray) -> np.ndarray:
 
 
 def cayley_batch(X: np.ndarray) -> np.ndarray:
-    """Scaled Cayley steps for a stack of square matrices X of shape (..., d, d)."""
+    """Scaled Cayley steps for a stack of square matrices X of shape (..., d, d):
+    a copy of X, stepped by ``cayley_in_place``; X itself is left as it is."""
     X = np.asarray(X)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise NumericalError("cayley_batch expects (..., d, d) input",
                              {"shape": X.shape})
     if X.size == 0:
         return X.copy()
-    if not np.issubdtype(X.dtype, np.inexact):
-        X = X.astype(float)
+    dtype = X.dtype if np.issubdtype(X.dtype, np.inexact) else np.dtype(float)
+    return cayley_in_place(np.array(X, dtype=dtype, order="C"))
+
+
+def cayley_in_place(X: np.ndarray) -> np.ndarray:
+    """The scaled Cayley steps of a C-contiguous stack X of shape (..., d, d)
+    and inexact dtype, written over X, which is returned. s comes from the
+    largest 1-norm, taken slice by slice, so no full-size |X| is built; a
+    non-finite entry or 1-norm in any slice raises NumericalError before
+    any step. Each slice's result then overwrites it, which is safe because
+    the slice's H = X / 2^(s+1) is a scaled copy."""
     d = X.shape[-1]
     A = X.reshape(-1, d, d)
+    norm = 0.0
     with np.errstate(over="ignore"):
-        norm = float(np.abs(A).sum(axis=-2).max())
-    if not math.isfinite(norm):     # a non-finite entry, or finite ones too large
-        raise NumericalError("non-finite entries or 1-norm in cayley_batch input", {})
+        for lo in range(0, A.shape[0], _SLICE):
+            part = float(np.abs(A[lo:lo + _SLICE]).sum(axis=-2).max())
+            if not math.isfinite(part):     # a non-finite entry, or finite ones too large
+                raise NumericalError("non-finite entries or 1-norm in cayley_batch input", {})
+            norm = max(norm, part)
     eye = np.eye(d, dtype=A.dtype)
     if norm == 0:
-        return np.broadcast_to(eye, X.shape).copy()
+        A[...] = eye
+        return A.reshape(X.shape)
     s = max(0, math.ceil(math.log2(norm / _THETA)))
     scale = 2.0 ** -(s + 1)
-    out = np.empty_like(A)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, A.shape[0], _SLICE):
             H = A[lo:lo + _SLICE] * scale
@@ -129,5 +147,5 @@ def cayley_batch(X: np.ndarray) -> np.ndarray:
                 R = np.linalg.solve(eye - H, eye + H)
             for _ in range(s):
                 R = times(R, real_form(R))
-            out[lo:lo + _SLICE] = R
-    return out.reshape(X.shape)
+            A[lo:lo + _SLICE] = R
+    return A.reshape(X.shape)

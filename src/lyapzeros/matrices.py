@@ -29,7 +29,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._expm import _SLICE, cayley_batch, real_form, times
+from ._expm import _SLICE, cayley_in_place, real_form, times
 from .errors import InternalError, NumericalError, ParameterError
 from .realforms import Family, RealFormSpec
 
@@ -211,9 +211,16 @@ def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
     set by the largest 1-norm of the ``count`` draws. A coordinate of X is a
     sum of at most two terms +-c_i, in any order the same, so the gathered X
     equals np.tensordot's against ``basis`` up to the sign of a zero, which
-    I +- X / 2^(s+1) in the Cayley step erases."""
-    coeffs = rng.standard_normal((count, sampler.form.algebra_dim)) * sampler.scale
-    G = cayley_batch(_combine(sampler, coeffs))
+    I +- X / 2^(s+1) in the Cayley step erases. The coefficients are scaled
+    in place and dropped once X is gathered, and X is stepped in place
+    (``_expm.cayley_in_place``; ``cayley_batch`` would copy it), so the
+    draws hold count * (8 algebra_dim + d^2 itemsize) bytes, plus one
+    slice's workspace."""
+    coeffs = rng.standard_normal((count, sampler.form.algebra_dim))
+    coeffs *= sampler.scale
+    X = _combine(sampler, coeffs)
+    del coeffs
+    G = cayley_in_place(X)
     if not np.isfinite(G).all():
         raise NumericalError("group element overflowed",
                              {"form": sampler.form.label(), "scale": sampler.scale})

@@ -45,8 +45,8 @@ from .weights import RepKind, RepSpec, binomial, k_subsets
 
 _CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
 # bytes above which a run warns before sampling: of one trial's chunk buffers
-# (its coefficients, X and steps), and of every trial's folded blocks of a
-# chunk at the smallest renorm interval the run may use
+# (its coefficients, then X, which is stepped in place), and of every trial's
+# folded blocks of a chunk at the smallest renorm interval the run may use
 _CHUNK_MEMORY_LIMIT = 2 ** 30
 # largest |sum of a trial's exponents| accepted. At the default scale and
 # renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
@@ -333,13 +333,14 @@ def _run_with_retry(config: SimConfig, rep=None):
     once at half the renorm interval, since shorter blocks are better
     conditioned; a second failure raises NumericalError. The sum rule holds
     for the first matrix_dim columns and for the rest, if ``rep`` adds any.
-    A chunk's buffers, or its blocks at the retry's interval, over
-    ``_CHUNK_MEMORY_LIMIT`` warn first."""
+    A trial's chunk buffers, chunk * (8 algebra_dim + d^2 itemsize) bytes
+    (the coefficients and X, stepped in place), or every trial's blocks at
+    the retry's interval, over ``_CHUNK_MEMORY_LIMIT`` warn first."""
     form, d = config.form, config.form.matrix_dim
     sampler = lie_algebra_basis(form, config.scale)
     chunk = min(config.steps, _CHUNK_TARGET)
     matrix_bytes = d * d * sampler.dtype.itemsize
-    nbytes = chunk * (8 * form.algebra_dim + 3 * matrix_bytes)
+    nbytes = chunk * (8 * form.algebra_dim + matrix_bytes)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial"))
     smallest = max(1, config.renorm_interval // 2)

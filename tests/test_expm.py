@@ -102,6 +102,32 @@ def _norms(X):
     return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
+@pytest.mark.parametrize("form", BENCH_FORMS + [so_split(10)], ids=lambda f: f.label())
+@pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
+def test_batch_is_a_copy_stepped_in_place(form, scale):
+    # so(10,2), d = 12, takes the LAPACK solve; 1200 matrices are three slices
+    X = _samples(form, scale, 1200, seed=6)
+    before = X.copy()
+    g = cayley_batch(X)
+    assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
+    stepped = _expm.cayley_in_place(X)
+    assert np.shares_memory(stepped, X)
+    assert np.array_equal(stepped.view(np.uint64), g.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_in_the_last_slice_raises_before_any_step(bad):
+    # the 1-norm is taken slice by slice; Python's max() would drop a NaN
+    X = _samples(su(2, 1), 0.3, 5000, seed=8)
+    X[-1, 1, 2] = bad
+    before = X.copy()
+    with pytest.raises(NumericalError, match="non-finite"):
+        cayley_batch(X)
+    with pytest.raises(NumericalError, match="non-finite"):
+        _expm.cayley_in_place(X)
+    assert np.array_equal(X, before, equal_nan=True)
+
+
 @pytest.mark.parametrize("form", BENCH_FORMS, ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
 def test_steps_preserve_forms(form, scale):

@@ -12,6 +12,7 @@ from lyapzeros import (Family, InternalError, NumericalError, ParameterError, Re
                        RepSpec, Weight, WeightMultiset, exterior_power_matrix, lie_algebra_basis,
                        restriction_map, sample_group_elements, so_split, so_star,
                        sp, su, weights_restricted)
+from lyapzeros._expm import cayley_batch
 from lyapzeros.realforms import form_preservation_errors
 from lyapzeros.weights import exterior_power_bound
 
@@ -400,16 +401,17 @@ class TestSampling:
         # X = sum c_i B_i is gathered from the index tables by numpy
         # indexing and ufuncs, which never thread; it must equal one
         # tensordot with the expanded basis in value, and give the same bits
-        # after the Cayley step (only the sign of a zero may differ before it)
+        # after the Cayley step (only the sign of a zero may differ before it).
+        # The sampler steps its X in place, so the spy copies it first
         sampler = lie_algebra_basis(form)
         combined = []
-        cayley = lz.matrices.cayley_batch
+        in_place = lz.matrices.cayley_in_place
 
         def spy_cayley(X):
             combined.append(X.copy())
-            return cayley(X)
+            return in_place(X)
 
-        monkeypatch.setattr(lz.matrices, "cayley_batch", spy_cayley)
+        monkeypatch.setattr(lz.matrices, "cayley_in_place", spy_cayley)
         g = sample_group_elements(sampler, np.random.default_rng(7), count)
         monkeypatch.undo()
 
@@ -417,7 +419,7 @@ class TestSampling:
         X = np.tensordot(coeffs * sampler.scale, sampler.basis, axes=(1, 0))
         assert combined[0].dtype == X.dtype == sampler.dtype
         assert np.array_equal(combined[0], X)
-        assert np.array_equal(g.view(np.uint64), cayley(X).view(np.uint64))
+        assert np.array_equal(g.view(np.uint64), cayley_batch(X).view(np.uint64))
 
     def test_large_algebra_builds_no_dense_basis(self):
         # su(30,30)'s dense basis alone takes 3599 * 60^2 * 16 bytes = 207 MB
@@ -431,6 +433,28 @@ class TestSampling:
             tracemalloc.stop()
         assert g.shape == (10, 60, 60)
         assert peak < 50e6, peak
+
+    @pytest.mark.parametrize("form", [su(4, 4), su(5, 1)], ids=lambda f: f.label())
+    def test_chunk_holds_one_buffer_of_steps(self, form):
+        # the coefficients are scaled in place and dropped after the gather,
+        # and X is stepped in place: the peak is the coefficients and X, or X
+        # and one slice's workspace, bounded by two real (2d, 2d) matrices
+        # per matrix of the slice (8.2 MB against 9.7 MB for su(4,4); keeping
+        # the coefficients or a second copy of the steps breaks the bound)
+        import tracemalloc
+        from lyapzeros._expm import _SLICE
+        sampler = lie_algebra_basis(form)
+        sample_group_elements(sampler, np.random.default_rng(0), 10)   # warm caches
+        count, d = 5000, form.matrix_dim
+        tracemalloc.start()
+        try:
+            g = sample_group_elements(sampler, np.random.default_rng(1), count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = count * (8 * form.algebra_dim + d * d * g.itemsize)
+        workspace = 2 * _SLICE * (2 * d) ** 2 * 8
+        assert peak <= held + workspace, (peak, held, workspace)
 
     def test_su21_seeded(self):
         sampler = lie_algebra_basis(su(2, 1), scale=0.3)

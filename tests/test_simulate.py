@@ -248,8 +248,8 @@ class TestLyapunovSpectrum:
                 lyapunov_spectrum(quick(su(8, 8), RepSpec.exterior(8)))
 
     def test_large_chunk_warns_before_sampling(self, monkeypatch):
-        # a 20,000-step su(30,30) chunk takes 20,000 * (8 * 3599 + 3 * 60^2 * 16)
-        # bytes per trial; so(23,2) (348 MB) and su(8,8) (287 MB) stay below 2^30
+        # a 20,000-step su(30,30) chunk takes 20,000 * (8 * 3599 + 60^2 * 16)
+        # bytes per trial; so(23,2) (148 MB) and su(8,8) (123 MB) stay below 2^30
         class Sampled(Exception):
             pass
 
@@ -258,7 +258,7 @@ class TestLyapunovSpectrum:
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
         for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
-            with pytest.warns(RuntimeWarning, match="4,031,840,000 bytes per trial"):
+            with pytest.warns(RuntimeWarning, match="1,727,840,000 bytes per trial"):
                 with pytest.raises(Sampled):
                     run(SimConfig(form=su(30, 30)))
         with warnings.catch_warnings():
