@@ -11,10 +11,14 @@ for the largest 1-norm in the batch, or 0 below _THETA = 1, so
 conditioned. Unscaled steps (s = 0) are not: near an eigenvalue 2 of X
 they are near-singular. An all-zero batch gives the identity exactly.
 
-The batch is processed in slices of at most ``_SLICE`` = 512 matrices, so
-the working set stays bounded: one pass takes the largest 1-norm slice by
-slice, and a second solves (I - A) R = I + A for each slice, squares it s
-times and writes the result over the slice. ``cayley_in_place`` is that
+The batch is processed in slices of ``slice_length`` matrices, as many as
+fit in ``_BLOCK_BYTES`` = 256 KiB (at least one): 1,820 for su(2,1), 2,048
+for sp(4,R), 668 for so(5,2), 455 for so*(6), 256 for su(4,4) and 64 for
+su(8,8). The working set stays bounded, and each numpy call carries enough
+work for the sampler's two trial threads to overlap: a call of a few
+microseconds mostly passes the GIL back and forth. One pass takes the
+largest 1-norm slice by slice, and a second solves (I - A) R = I + A for
+each slice, squares it s times and writes the result over the slice. ``cayley_in_place`` is that
 core and steps its argument in place; the sampler calls it on its own X,
 so a chunk of steps is held in one buffer. ``cayley_batch`` copies its
 argument first and leaves the caller's array untouched.
@@ -26,10 +30,15 @@ call per matrix and its per-call overhead dominates. ||A||_1 <= 1/2 makes
 I - A strictly column diagonally dominant, so elimination needs no
 pivoting: partial pivoting would never swap rows (Higham, "Accuracy and
 Stability of Numerical Algorithms", 2002, sec. 9.5), and Gauss-Jordan
-meets the same pivots as Gaussian elimination. The cutoff is the measured crossover: on slices of 512,
-Gauss-Jordan took 0.26-0.67 of LAPACK's time at every d = 2..11, real and
-complex, and 1.04-1.22 of it at complex d = 12. Larger d keep the stacked
-LAPACK solve.
+meets the same pivots as Gaussian elimination. The cutoff is the
+crossover measured on slices of 512: Gauss-Jordan took 0.26-0.67 of
+LAPACK's time at every d = 2..11, real and complex, and 1.04-1.22 of it at
+complex d = 12. Larger d keep the stacked LAPACK solve. On the 256 KiB
+slices (medians of 21 alternated pairs, two runs) it takes 0.50-0.95 of
+LAPACK's time at real d = 8..11 and 0.75-1.02 at real d = 12; at complex
+d = 8, 9 it takes 0.74-0.83, at d = 10 0.93-1.12, at d = 11 1.01-1.32 and
+at d = 12 1.43-1.53. The complex crossover has thus moved down to d = 10-11,
+but the cutoff stays at 11, since moving it would move those steps' bits.
 
 A complex product A @ B is computed as ``times(A, real_form(B))``, one
 real (d, 2d) @ (2d, 2d) GEMM per matrix, which numpy runs several times
@@ -50,7 +59,10 @@ import numpy as np
 
 from .errors import NumericalError
 
-_SLICE = 512
+# bytes of matrices that one slice of a sliced loop holds, here and in
+# matrices: 256 KiB stays in a core's L2 cache and is work enough per call
+# for two threads to overlap
+_BLOCK_BYTES = 2 ** 18
 
 # largest batch 1-norm taken without squaring
 _THETA = 1.0
@@ -78,6 +90,12 @@ def times(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     if A.strides[-1] != A.itemsize:
         A = np.ascontiguousarray(A)
     return (A.view(A.real.dtype) @ M).view(A.dtype)
+
+
+def slice_length(A: np.ndarray) -> int:
+    """Matrices per slice of the stack A (..., d, d): as many as fit in
+    ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (A.shape[-1] ** 2 * A.itemsize))
 
 
 def _solve_gauss_jordan(H: np.ndarray) -> np.ndarray:
@@ -125,10 +143,11 @@ def cayley_in_place(X: np.ndarray) -> np.ndarray:
     the slice's H = X / 2^(s+1) is a scaled copy."""
     d = X.shape[-1]
     A = X.reshape(-1, d, d)
+    step = slice_length(A)
     norm = 0.0
     with np.errstate(over="ignore"):
-        for lo in range(0, A.shape[0], _SLICE):
-            part = float(np.abs(A[lo:lo + _SLICE]).sum(axis=-2).max())
+        for lo in range(0, A.shape[0], step):
+            part = float(np.abs(A[lo:lo + step]).sum(axis=-2).max())
             if not math.isfinite(part):     # a non-finite entry, or finite ones too large
                 raise NumericalError("non-finite entries or 1-norm in cayley_batch input", {})
             norm = max(norm, part)
@@ -139,13 +158,13 @@ def cayley_in_place(X: np.ndarray) -> np.ndarray:
     s = max(0, math.ceil(math.log2(norm / _THETA)))
     scale = 2.0 ** -(s + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, A.shape[0], _SLICE):
-            H = A[lo:lo + _SLICE] * scale
+        for lo in range(0, A.shape[0], step):
+            H = A[lo:lo + step] * scale
             if d <= _GAUSS_JORDAN_MAX_DIM:
                 R = _solve_gauss_jordan(H)
             else:
                 R = np.linalg.solve(eye - H, eye + H)
             for _ in range(s):
                 R = times(R, real_form(R))
-            A[lo:lo + _SLICE] = R
+            A[lo:lo + step] = R
     return A.reshape(X.shape)

@@ -29,14 +29,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._expm import _SLICE, cayley_in_place, real_form, times
+from ._expm import _BLOCK_BYTES, cayley_in_place, real_form, slice_length, times
 from .errors import InternalError, NumericalError, ParameterError
 from .realforms import Family, RealFormSpec
 
 _RELATION_TOL = 1e-12
-# real coordinates of X gathered per block: the block's two term layers,
-# 256 KiB, stay in a core's L2 cache
-_GATHER_BLOCK = 2 ** 14
 
 
 def _su_elements(p: int, q: int) -> list:
@@ -151,7 +148,7 @@ def _combine(sampler: GroupSampler, coeffs: np.ndarray) -> np.ndarray:
     """The (count, d, d) stack of X = sum_i c_i B_i over the rows c of ``coeffs``."""
     count, width = len(coeffs), sampler.index.shape[1]
     X = np.empty((count, width))
-    rows = max(1, _GATHER_BLOCK // width)
+    rows = max(1, _BLOCK_BYTES // (16 * width))    # a block's two float64 term layers
     for lo in range(0, count, rows):
         terms = coeffs[lo:lo + rows, sampler.index]    # (rows, 2, width)
         terms *= sampler.sign
@@ -244,15 +241,17 @@ def form_preservation_errors(sampler: GroupSampler, g: np.ndarray) -> dict[str, 
     hermitian: ||g^dag H g - H|| / ||H||; bilinear forms use g^T. Every form
     is a signed permutation, F[r_j, j] = w_j, so ||F|| = 1 in the max norm,
     g^dag F is the column gather w_j g^dag[:, r_j], and each form costs one
-    product (g^dag F) g, taken in slices of ``_SLICE`` matrices. A
+    product (g^dag F) g, taken in slices of ``_expm.slice_length`` matrices,
+    as many as fit in ``_expm._BLOCK_BYTES`` = 256 KiB (at least one). A
     non-finite product reads inf.
     """
     g = g.reshape((-1,) + g.shape[-2:])
     gathers = {name: _signed_permutation(F.T) for name, F in sampler.forms.items()}
     out = dict.fromkeys(sampler.forms, 0.0)
+    step = slice_length(g)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(g), _SLICE):
-            part = g[lo:lo + _SLICE]
+        for lo in range(0, len(g), step):
+            part = g[lo:lo + step]
             M, gt = real_form(part), np.swapaxes(part, -1, -2)
             for name, F in sampler.forms.items():
                 r, w = gathers[name]

@@ -248,6 +248,54 @@ def _sample_trial(sampler: GroupSampler, interval: int, count: int,
     return sample_err, _max_form_error(sampler, out)
 
 
+def _numpy_qr_kernels():
+    """(qr_r_raw, qr_reduced), the two LAPACK kernels that np.linalg.qr calls
+    (geqrf, then orgqr or ungqr), if they exist and reproduce np.linalg.qr
+    bit for bit, Q and diag R, on a fixed small real and complex stack;
+    None otherwise (numpy 1.x names them differently)."""
+    try:
+        from numpy.linalg import _umath_linalg
+        factor, reduced = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
+    except (ImportError, AttributeError):
+        return None
+    rng = np.random.default_rng(0)
+    real = rng.standard_normal((3, 4, 4))
+    for A in (real, real[:, :3, :3] + 1j * real[:, 1:, 1:]):
+        Q, R = np.linalg.qr(A)
+        A = A.copy()
+        try:
+            Qk = reduced(A, factor(A))
+        except (TypeError, ValueError):
+            return None
+        if (Q.tobytes() != Qk.tobytes() or np.diagonal(R, axis1=-2, axis2=-1).tobytes()
+                != np.diagonal(A, axis1=-2, axis2=-1).tobytes()):
+            return None
+    return factor, reduced
+
+
+_QR_KERNELS = _numpy_qr_kernels()
+
+
+def _qr_step(B: np.ndarray, Q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One stacked QR step of the Benettin scheme: the orthonormal factor of
+    A = B @ Q, with |diag R| written to ``out``. A is a fresh matmul output,
+    native float64 or complex128 and C-contiguous, so ``qr_r_raw`` factors
+    it in place, R on and above its diagonal, with the bits of np.linalg.qr
+    and without its dtype copy, triu and errstate blocks. Non-finite
+    entries give a non-finite |diag R| for the caller to refuse, and no
+    warning. Where the kernels are missing (``_QR_KERNELS`` None), this
+    calls np.linalg.qr."""
+    A = B @ Q
+    if _QR_KERNELS is None:
+        Q, R = np.linalg.qr(A)
+        np.abs(np.diagonal(R, axis1=-2, axis2=-1), out=out)
+        return Q
+    factor, reduced = _QR_KERNELS
+    tau = factor(A)
+    np.abs(np.diagonal(A, axis1=-2, axis2=-1), out=out)
+    return reduced(A, tau)
+
+
 def _worker_count(trials: int) -> int:
     """Trial threads of a run: min(2, usable CPUs, trials)."""
     try:
@@ -265,8 +313,9 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     (``_sample_trial``) into its column of one (blocks, trials, d, d) array,
     on one of min(2, usable CPUs, trials) threads, which live for this call
     only; the blocks are then multiplied into the stacked frames
-    (trials, d, d) with one stacked QR per block. The logs of |diag R|,
-    their finiteness check and their accumulation run once per chunk.
+    (trials, d, d) with one stacked QR per block (``_qr_step``). The logs
+    of |diag R|, their finiteness check and their accumulation run once
+    per chunk.
     Trial j's result depends neither on the other trials nor on the thread
     count, and errors surface in trial order. ``rep``, if given, maps each
     stacked block to the matrices the frames are multiplied by instead (the
@@ -300,8 +349,7 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
             # before the first block kept takes acc
             logs = np.empty((nblocks + 1,) + acc.shape)
             for i, B in enumerate(held):    # one block of every trial
-                Q, R = np.linalg.qr(rep(B) @ Q)
-                np.abs(np.diagonal(R, axis1=-2, axis2=-1), out=logs[i + 1])
+                Q = _qr_step(rep(B), Q, logs[i + 1])
             logs = logs[min(nblocks, max(0, (warmup - lo) // interval)):]
             with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
                 np.log(logs[1:], out=logs[1:])
@@ -560,6 +608,16 @@ class ExteriorConsistencyReport:
         }
 
 
+def _direct_sum(B: np.ndarray, k: int) -> np.ndarray:
+    """diag(B, Lambda^k B) of each stacked matrix of B."""
+    d = B.shape[-1]
+    C = exterior_power_matrix(B, k)
+    out = np.zeros(B.shape[:-2] + (d + C.shape[-1],) * 2, dtype=B.dtype)
+    out[..., :d, :d] = B
+    out[..., d:, d:] = C
+    return out
+
+
 def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistencyReport:
     """Compare directly simulated exterior-power exponents of config.form
     with k-subset sums of its standard exponents (complex counting).
@@ -581,14 +639,8 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
         f"exterior-check on {config.form.label()} k={k} forms dense frames of "
         f"{entries:,} entries per trial"))
 
-    def direct_sum(B):   # diag(B, Lambda^k B) of each stacked block
-        C = exterior_power_matrix(B, k)
-        out = np.zeros(B.shape[:-2] + (d + C.shape[-1],) * 2, dtype=B.dtype)
-        out[..., :d, :d] = B
-        out[..., d:, d:] = C
-        return out
-
-    per_trial, sample_err, block_err, interval_used = _run_with_retry(cfg, direct_sum)
+    per_trial, sample_err, block_err, interval_used = _run_with_retry(
+        cfg, partial(_direct_sum, k=k))
     std = _aggregate(per_trial[:, :d], cfg.trials)[0]
     direct, direct_err, _ = _aggregate(per_trial[:, d:], cfg.trials)
     sums, sums_err, _ = _aggregate(_subset_sums(per_trial[:, :d], k), cfg.trials)

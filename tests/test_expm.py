@@ -105,7 +105,7 @@ def _norms(X):
 @pytest.mark.parametrize("form", BENCH_FORMS + [so_split(10)], ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
 def test_batch_is_a_copy_stepped_in_place(form, scale):
-    # so(10,2), d = 12, takes the LAPACK solve; 1200 matrices are three slices
+    # so(10,2), d = 12, takes the LAPACK solve; 1200 matrices are six slices
     X = _samples(form, scale, 1200, seed=6)
     before = X.copy()
     g = cayley_batch(X)
@@ -113,6 +113,17 @@ def test_batch_is_a_copy_stepped_in_place(form, scale):
     stepped = _expm.cayley_in_place(X)
     assert np.shares_memory(stepped, X)
     assert np.array_equal(stepped.view(np.uint64), g.view(np.uint64))
+
+
+@pytest.mark.parametrize("form,length", [
+    (su(2, 1), 1820), (sp(2), 2048), (so_split(5), 668), (so_star(3), 455),
+    (su(4, 4), 256), (su(8, 8), 64), (so_split(10), 227), (su(100, 100), 1),
+], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+def test_slices_hold_a_fixed_number_of_bytes(form, length):
+    # as many matrices as fit in 256 KiB, and at least one
+    d = form.matrix_dim
+    dtype = complex if form.is_complex_family else float
+    assert _expm.slice_length(np.empty((3, d, d), dtype)) == length
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -191,7 +202,9 @@ def test_scaled_batches_are_column_diagonally_dominant(form, scale, monkeypatch)
         return real(H)
 
     monkeypatch.setattr(_expm, "_solve_gauss_jordan", spy)
-    cayley_batch(_samples(form, scale, 1200, seed=3))
+    X = _samples(form, scale, 1200, seed=3)
+    monkeypatch.setattr(_expm, "_BLOCK_BYTES", 512 * X[0].nbytes)
+    cayley_batch(X)
     assert len(seen) == 3       # slices of 512, 512 and 176 matrices
     for H in seen:
         diag = np.diagonal(H, axis1=-2, axis2=-1)

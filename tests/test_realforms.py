@@ -12,7 +12,7 @@ from lyapzeros import (Family, InternalError, NumericalError, ParameterError, Re
                        RepSpec, Weight, WeightMultiset, exterior_power_matrix, lie_algebra_basis,
                        restriction_map, sample_group_elements, so_split, so_star,
                        sp, su, weights_restricted)
-from lyapzeros._expm import cayley_batch
+from lyapzeros._expm import cayley_batch, slice_length
 from lyapzeros.realforms import form_preservation_errors
 from lyapzeros.weights import exterior_power_bound
 
@@ -362,12 +362,16 @@ class TestSampling:
     @pytest.mark.parametrize("form", [su(3, 1), so_star(3), sp(2)],
                              ids=lambda f: f.label())
     def test_sliced_check_equals_whole_check(self, form, monkeypatch):
+        # slices of _BLOCK_BYTES: 1,024 matrices for su(3,1), 455 for so*(6)
+        # and 2,048 for sp(4,R), so the check takes three slices
         sampler = lie_algebra_basis(form)
-        n = 2 * lz.matrices._SLICE + 100
+        d = form.matrix_dim
+        n = 2 * slice_length(np.empty((1, d, d), sampler.dtype)) + 100
         g = sample_group_elements(sampler, np.random.default_rng(3), n)
         g[n - 50] *= 1.001          # the worst matrix sits in the last slice
         sliced = form_preservation_errors(sampler, g)
-        monkeypatch.setattr(lz.matrices, "_SLICE", n)
+        monkeypatch.setattr(lz._expm, "_BLOCK_BYTES", g.nbytes)
+        assert slice_length(g) == n
         assert form_preservation_errors(sampler, g) == sliced
         assert min(sliced.values()) > 1e-3
 
@@ -439,10 +443,10 @@ class TestSampling:
         # the coefficients are scaled in place and dropped after the gather,
         # and X is stepped in place: the peak is the coefficients and X, or X
         # and one slice's workspace, bounded by two real (2d, 2d) matrices
-        # per matrix of the slice (8.2 MB against 9.7 MB for su(4,4); keeping
-        # the coefficients or a second copy of the steps breaks the bound)
+        # per matrix of the slice (8.2 MB against 8.7 MB for su(4,4), whose
+        # slices hold 256 matrices; keeping the coefficients or a second copy
+        # of the steps breaks the bound)
         import tracemalloc
-        from lyapzeros._expm import _SLICE
         sampler = lie_algebra_basis(form)
         sample_group_elements(sampler, np.random.default_rng(0), 10)   # warm caches
         count, d = 5000, form.matrix_dim
@@ -453,7 +457,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         held = count * (8 * form.algebra_dim + d * d * g.itemsize)
-        workspace = 2 * _SLICE * (2 * d) ** 2 * 8
+        workspace = 2 * slice_length(g) * (2 * d) ** 2 * 8
         assert peak <= held + workspace, (peak, held, workspace)
 
     def test_su21_seeded(self):

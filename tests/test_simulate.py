@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import warnings
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -249,7 +250,9 @@ class TestLyapunovSpectrum:
 
     def test_large_chunk_warns_before_sampling(self, monkeypatch):
         # a 20,000-step su(30,30) chunk takes 20,000 * (8 * 3599 + 60^2 * 16)
-        # bytes per trial; so(23,2) (148 MB) and su(8,8) (123 MB) stay below 2^30
+        # bytes per trial, and its 8 trials' blocks at the retry's interval 5
+        # 8 * 4,000 * 60^2 * 16; so(23,2) (148 MB) and su(8,8) (123 MB) stay
+        # below 2^30
         class Sampled(Exception):
             pass
 
@@ -258,9 +261,13 @@ class TestLyapunovSpectrum:
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
         for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
-            with pytest.warns(RuntimeWarning, match="1,727,840,000 bytes per trial"):
+            with pytest.warns(RuntimeWarning) as record:
                 with pytest.raises(Sampled):
                     run(SimConfig(form=su(30, 30)))
+            messages = [str(w.message) for w in record]
+            assert len(messages) == 2, messages
+            assert "1,727,840,000 bytes per trial" in messages[0]
+            assert "1,843,200,000 bytes of folded blocks" in messages[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for form in (so_split(23), su(8, 8)):
@@ -393,6 +400,113 @@ class TestLyapunovSpectrum:
         for row in res.trial_exponents:
             # realified rows count each complex exponent twice
             assert abs(sum(row)) < 1e-3 * lz.simulate._SUM_RULE_TOL
+
+
+def label(x):
+    return x.label() if hasattr(x, "label") else str(x)
+
+
+def frames_and_blocks(form, trials=8, count=200, interval=10, seed=11):
+    """An orthonormal frame stack and the folded blocks of ``count`` steps of
+    every trial, (count / interval, trials, d, d)."""
+    sampler = lz.lie_algebra_basis(form)
+    rng = np.random.default_rng(seed)
+    blocks = np.stack([_fold_blocks(lz.sample_group_elements(sampler, rng, count), interval)
+                       for _ in range(trials)], axis=1)
+    Q = np.linalg.qr(lz.sample_group_elements(sampler, rng, trials))[0]
+    return Q, blocks
+
+
+def numpy_qr_steps(blocks, Q):
+    """The frames and |diag R| of np.linalg.qr over the blocks, in order."""
+    out = []
+    for B in blocks:
+        Q, R = np.linalg.qr(B @ Q)
+        out.append((Q, np.abs(np.diagonal(R, axis1=-2, axis2=-1))))
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestQrStep:
+    def test_kernels_are_used_where_numpy_has_them(self):
+        from numpy.linalg import _umath_linalg
+        has = all(hasattr(_umath_linalg, name) for name in ("qr_r_raw", "qr_reduced"))
+        assert (lz.simulate._QR_KERNELS is not None) == has
+
+    @pytest.mark.parametrize("form", [su(2, 1), su(3, 1), so_star(3), sp(2), so_split(5)],
+                             ids=lambda f: f.label())
+    def test_step_is_numpy_qr(self, form):
+        # the sim pairs: complex d = 3, 4, 6 and real d = 4, 7
+        Q, blocks = frames_and_blocks(form)
+        for B, (want_Q, want_diag) in zip(blocks, numpy_qr_steps(blocks, Q)):
+            diag = np.empty(want_diag.shape)
+            Q = lz.simulate._qr_step(B, Q, diag)
+            assert same_bits(Q, want_Q) and same_bits(diag, want_diag)
+
+    @pytest.mark.parametrize("form,k", [(su(3, 1), 2), (su(5, 1), 3), (sp(2), 2),
+                                        (so_star(3), 3)], ids=label)
+    def test_step_is_numpy_qr_on_direct_sums(self, form, k):
+        # diag(B, Lambda^k B), the matrices of exterior_consistency_check
+        sums = lz.simulate._direct_sum(frames_and_blocks(form, count=100)[1], k)
+        Q = np.broadcast_to(np.eye(sums.shape[-1], dtype=sums.dtype), sums.shape[1:])
+        for B, (want_Q, want_diag) in zip(sums, numpy_qr_steps(sums, Q)):
+            diag = np.empty(want_diag.shape)
+            Q = lz.simulate._qr_step(B, Q, diag)
+            assert same_bits(Q, want_Q) and same_bits(diag, want_diag)
+
+    @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_gives_non_finite_diagonal(self, form, bad, monkeypatch):
+        # a product that leaves the floats reads non-finite in |diag R|, and
+        # the kernels add no warning to those of np.linalg.qr's path
+        Q, blocks = frames_and_blocks(form)
+        B = blocks[0].copy()
+        B[2, 1, 1] = bad
+        seen = []
+        for kernels in (lz.simulate._QR_KERNELS, None):
+            monkeypatch.setattr(lz.simulate, "_QR_KERNELS", kernels)
+            diag = np.empty(Q.shape[:-1])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lz.simulate._qr_step(B, Q, diag)
+            assert not np.isfinite(diag[2]).all() and np.isfinite(np.delete(diag, 2, 0)).all()
+            seen.append([str(w.message) for w in caught])
+        assert seen[0] == seen[1]
+        if np.isnan(bad):     # NaN passes through quietly, without a warning
+            assert seen[0] == []
+
+    def test_non_finite_block_ends_as_cocycle_overflow(self):
+        sampler = lz.lie_algebra_basis(su(3, 1))
+        rngs = [lz.simulate._trial_rng(7, j) for j in range(3)]
+
+        def poisoned(B):    # trial 1's blocks; rep also maps the starting identity
+            B = B.copy()
+            if B.ndim == 3:
+                B[1, 0, 0] = np.nan
+            return B
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lz.simulate._CocycleOverflow, match="degenerate QR factor"):
+                lz.simulate._run_lockstep(sampler, 500, 0, 10, rngs, poisoned)
+
+    @pytest.mark.parametrize("form,k", [(su(3, 1), None), (sp(2), None), (so_split(5), None),
+                                        (su(3, 1), 2)], ids=label)
+    def test_lockstep_bits_without_the_kernels(self, form, k, monkeypatch):
+        # np.linalg.qr's path, the only one on numpy 1.x, gives the same bits
+        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)   # two chunks
+        sampler = lz.lie_algebra_basis(form)
+        rep = partial(lz.simulate._direct_sum, k=k) if k else None
+        runs = []
+        for kernels in (lz.simulate._QR_KERNELS, None):
+            monkeypatch.setattr(lz.simulate, "_QR_KERNELS", kernels)
+            rngs = [lz.simulate._trial_rng(5, j) for j in range(3)]
+            runs.append(lz.simulate._run_lockstep(sampler, 2000, 200, 10, rngs, rep))
+        assert same_bits(runs[0][0], runs[1][0])
+        assert runs[0][1:] == runs[1][1:]
 
 
 def usable_cpus(monkeypatch, count):
