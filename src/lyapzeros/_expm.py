@@ -4,56 +4,52 @@ that preserves the hermitian, symmetric and/or symplectic forms of its
 sampler, so cay maps its Lie algebra into the group up to rounding (Diele,
 Lopez & Peluso, Adv. Comput. Math. 8 (1998); Iserles, Munthe-Kaas, Norsett
 & Zanna, "Lie-group methods", Acta Numerica 9 (2000)), and so do the
-squarings. cay(A) = exp(2 artanh(A)), so g = exp(X + X^3 / (12 * 4^s)
-+ ...) agrees with exp(X) to O(||X||^3). s = ceil(log2(norm / _THETA))
-for the largest 1-norm in the batch, or 0 below _THETA = 1, so
-||X / 2^(s+1)||_1 <= 1/2 and ||(I - A)^-1||_1 <= 2: every solve is well
-conditioned. Unscaled steps (s = 0) are not: near an eigenvalue 2 of X
-they are near-singular. An all-zero batch gives the identity exactly.
+squarings, at any s. cay(A) = exp(2 artanh(A)), so g = exp(X + X^3 /
+(12 * 4^s) + ...) agrees with exp(X) to O(||X||^3). Each matrix takes its
+own s = max(0, ceil(log2 ||X||_1)), so ||X / 2^(s+1)||_1 <= 1/2 and
+||(I - A)^-1||_1 <= 2: every solve is well conditioned. Unscaled steps
+(s = 0 for all) are not: near an eigenvalue 2 of X they are near-singular.
+A zero matrix takes s = 0 and gives the identity exactly.
 
-The batch is processed in slices of ``slice_length`` matrices, as many as
+The stack is processed in slices of ``slice_length`` matrices, as many as
 fit in ``_BLOCK_BYTES`` = 256 KiB (at least one): 1,820 for su(2,1), 2,048
 for sp(4,R), 668 for so(5,2), 455 for so*(6), 256 for su(4,4) and 64 for
 su(8,8). The working set stays bounded, and each numpy call carries enough
 work for the sampler's two trial threads to overlap: a call of a few
-microseconds mostly passes the GIL back and forth. One pass takes the
-largest 1-norm slice by slice, and a second solves (I - A) R = I + A for
-each slice, squares it s times and writes the result over the slice. ``cayley_in_place`` is that
-core and steps its argument in place; the sampler calls it on its own X,
-so a chunk of steps is held in one buffer. ``cayley_batch`` copies its
-argument first and leaves the caller's array untouched.
+microseconds mostly passes the GIL back and forth. One pass takes every
+matrix's 1-norm slice by slice, and a second solves (I - A) R = I + A for
+each slice, squares it round by round, each matrix s times in all, and
+writes the result over the slice. A round squares only the matrices that
+still need it, or, when those are most of the slice, squares the whole
+slice and puts the others back, which copies less. ``cayley_in_place``
+steps its argument in place; the sampler calls it on its own X, so a chunk
+of steps is held in one buffer.
 
-For d <= ``_GAUSS_JORDAN_MAX_DIM`` the solve is batch-last Gauss-Jordan
-elimination (``_solve_gauss_jordan``): a few array operations per column
-over the whole slice, where a stacked ``np.linalg.solve`` makes one LAPACK
-call per matrix and its per-call overhead dominates. ||A||_1 <= 1/2 makes
-I - A strictly column diagonally dominant, so elimination needs no
-pivoting: partial pivoting would never swap rows (Higham, "Accuracy and
-Stability of Numerical Algorithms", 2002, sec. 9.5), and Gauss-Jordan
-meets the same pivots as Gaussian elimination. The cutoff is the
-crossover measured on slices of 512: Gauss-Jordan took 0.26-0.67 of
-LAPACK's time at every d = 2..11, real and complex, and 1.04-1.22 of it at
-complex d = 12. Larger d keep the stacked LAPACK solve. On the 256 KiB
-slices (medians of 21 alternated pairs, two runs) it takes 0.50-0.95 of
-LAPACK's time at real d = 8..11 and 0.75-1.02 at real d = 12; at complex
-d = 8, 9 it takes 0.74-0.83, at d = 10 0.93-1.12, at d = 11 1.01-1.32 and
-at d = 12 1.43-1.53. The complex crossover has thus moved down to d = 10-11,
-but the cutoff stays at 11, since moving it would move those steps' bits.
+For d <= ``_GAUSS_JORDAN_MAX_DIM`` (11 real, 8 complex) the solve is
+batch-last Gauss-Jordan elimination (``_solve_gauss_jordan``): a few array
+operations per column over the whole slice, where a stacked
+``np.linalg.solve`` makes one LAPACK call per matrix and its per-call
+overhead dominates. ||A||_1 <= 1/2 makes I - A strictly column diagonally
+dominant, so elimination needs no pivoting: partial pivoting would never
+swap rows (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
+sec. 9.5), and Gauss-Jordan meets the same pivots as Gaussian elimination.
+The cutoffs are the crossover on the 256 KiB slices (2 CPUs, medians of 21
+alternated pairs, each side the fastest of 5 calls): a whole step took
+0.81-0.88 of its time on LAPACK's solve at real d = 8..11 and 1.05 at
+real d = 12; 0.79-0.82 at complex d = 6, 7, 0.98 at d = 8, and 1.02, 1.10,
+1.20 and 1.41 at complex d = 9..12. Larger d keep the stacked LAPACK solve.
 
 A complex product A @ B is computed as ``times(A, real_form(B))``, one
 real (d, 2d) @ (2d, 2d) GEMM per matrix, which numpy runs several times
 faster than its stacked complex matmul; a real stack goes through the
-same calls. A matrix's result depends only on itself and on s, so it is
-bit-identical whatever batch or slice it is computed in, as long as the
-batch's largest norm selects the same s.
+same calls. A matrix's result depends only on itself, so it is
+bit-identical whatever stack or slice it is computed in.
 
 Overflow in the squaring phase is silent: it surfaces as non-finite
 output for callers to check, not as a RuntimeWarning.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -64,11 +60,9 @@ from .errors import NumericalError
 # for two threads to overlap
 _BLOCK_BYTES = 2 ** 18
 
-# largest batch 1-norm taken without squaring
-_THETA = 1.0
-
-# largest matrix dimension solved by Gauss-Jordan; LAPACK's solve above it
-_GAUSS_JORDAN_MAX_DIM = 11
+# largest matrix dimension solved by Gauss-Jordan, by dtype kind (real
+# "f", complex "c"); LAPACK's solve above it
+_GAUSS_JORDAN_MAX_DIM = {"f": 11, "c": 8}
 
 
 def real_form(B: np.ndarray) -> np.ndarray:
@@ -98,18 +92,19 @@ def slice_length(A: np.ndarray) -> int:
     return max(1, _BLOCK_BYTES // (A.shape[-1] ** 2 * A.itemsize))
 
 
-def _solve_gauss_jordan(H: np.ndarray) -> np.ndarray:
-    """(I - H)^-1 (I + H) for a stack H of shape (n, d, d) whose I - H are
-    strictly column diagonally dominant, by Gauss-Jordan elimination
-    without pivoting on M = [I - H | I + H], laid out (d, 2d, n): step k
+def _solve_gauss_jordan(X: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(I - H)^-1 (I + H) for the stack H_i = scale_i X_i of shape (n, d, d),
+    whose I - H are strictly column diagonally dominant, by Gauss-Jordan
+    elimination without pivoting on M = [I - H | I + H], laid out (d, 2d, n)
+    so that the scales multiply along its contiguous last axis: step k
     scales row k by 1 / M[k, k] and subtracts column k times row k from
     the rows above and below it. Columns 0..k are never read again, so
     they are not updated."""
-    n, d = H.shape[0], H.shape[-1]
-    Ht = H.transpose(1, 2, 0)
-    M = np.empty((d, 2 * d, n), H.dtype)
-    np.negative(Ht, out=M[:, :d])
-    M[:, d:] = Ht
+    n, d = X.shape[0], X.shape[-1]
+    Xt = X.transpose(1, 2, 0)
+    M = np.empty((d, 2 * d, n), X.dtype)
+    np.multiply(Xt, -scale, out=M[:, :d])
+    np.multiply(Xt, scale, out=M[:, d:])
     diag = np.arange(d)
     M[diag, diag] += 1
     M[diag, d + diag] += 1
@@ -121,50 +116,50 @@ def _solve_gauss_jordan(H: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(M[:, d:].transpose(2, 0, 1))
 
 
-def cayley_batch(X: np.ndarray) -> np.ndarray:
-    """Scaled Cayley steps for a stack of square matrices X of shape (..., d, d):
-    a copy of X, stepped by ``cayley_in_place``; X itself is left as it is."""
-    X = np.asarray(X)
-    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
-        raise NumericalError("cayley_batch expects (..., d, d) input",
-                             {"shape": X.shape})
-    if X.size == 0:
-        return X.copy()
-    dtype = X.dtype if np.issubdtype(X.dtype, np.inexact) else np.dtype(float)
-    return cayley_in_place(np.array(X, dtype=dtype, order="C"))
-
-
 def cayley_in_place(X: np.ndarray) -> np.ndarray:
     """The scaled Cayley steps of a C-contiguous stack X of shape (..., d, d)
-    and inexact dtype, written over X, which is returned. s comes from the
-    largest 1-norm, taken slice by slice, so no full-size |X| is built; a
-    non-finite entry or 1-norm in any slice raises NumericalError before
-    any step. Each slice's result then overwrites it, which is safe because
-    the slice's H = X / 2^(s+1) is a scaled copy."""
+    and inexact dtype, written over X, which is returned. Each draw's s
+    comes from its own 1-norm; the norms are taken slice by slice, so no
+    full-size |X| is built, and a non-finite entry or 1-norm of any draw
+    raises NumericalError before any step. Each slice's result then
+    overwrites it, which is safe because the slice's H = X / 2^(s+1) is a
+    scaled copy."""
     d = X.shape[-1]
     A = X.reshape(-1, d, d)
     step = slice_length(A)
-    norm = 0.0
+    norms = np.empty(len(A))
+    sums = np.empty((d, step))      # a slice's column sums of |A_i|, batch last
     with np.errstate(over="ignore"):
-        for lo in range(0, A.shape[0], step):
-            part = float(np.abs(A[lo:lo + step]).sum(axis=-2).max())
-            if not math.isfinite(part):     # a non-finite entry, or finite ones too large
-                raise NumericalError("non-finite entries or 1-norm in cayley_batch input", {})
-            norm = max(norm, part)
+        for lo in range(0, len(A), step):
+            part = sums[:, :len(A) - lo]
+            np.abs(A[lo:lo + step]).sum(axis=-2, out=part.T)
+            part.max(axis=0, out=norms[lo:lo + step])
+    if not np.isfinite(norms).all():    # a non-finite entry, or finite ones too large
+        raise NumericalError("non-finite entries or 1-norm in cayley_in_place input", {})
+    gauss_jordan = d <= _GAUSS_JORDAN_MAX_DIM[A.dtype.kind]
     eye = np.eye(d, dtype=A.dtype)
-    if norm == 0:
-        A[...] = eye
-        return A.reshape(X.shape)
-    s = max(0, math.ceil(math.log2(norm / _THETA)))
-    scale = 2.0 ** -(s + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, A.shape[0], step):
-            H = A[lo:lo + step] * scale
-            if d <= _GAUSS_JORDAN_MAX_DIM:
-                R = _solve_gauss_jordan(H)
+        for lo in range(0, len(A), step):
+            # s = max(0, ceil(log2 norm)) exactly, for norm = m 2^e with
+            # 1/2 <= m < 1; a zero norm gives m = e = 0, s = 0, and cay(0) = I
+            m, e = np.frexp(norms[lo:lo + step])
+            s = np.maximum(e - (m == 0.5), 0)
+            scale = np.ldexp(1.0, -1 - s)
+            if gauss_jordan:
+                R = _solve_gauss_jordan(A[lo:lo + step], scale)
             else:
+                H = A[lo:lo + step] * scale[:, None, None]
                 R = np.linalg.solve(eye - H, eye + H)
-            for _ in range(s):
-                R = times(R, real_form(R))
+            for k in range(s.max()):    # square the draws with s > k
+                done = s <= k
+                if 2 * np.count_nonzero(done) < len(s):     # square all, restore the done
+                    rest = np.flatnonzero(done)
+                    kept = R[rest]
+                    R = times(R, real_form(R))
+                    R[rest] = kept
+                else:
+                    sq = np.flatnonzero(~done)
+                    part = R[sq]
+                    R[sq] = times(part, real_form(part))
             A[lo:lo + step] = R
-    return A.reshape(X.shape)
+    return X

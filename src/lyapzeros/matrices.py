@@ -116,7 +116,7 @@ def _index_tables(elements: list, d: int, is_complex: bool):
 class GroupSampler:
     """Matrix realization of a real form plus its random-walk step law.
 
-    A step is the scaled Cayley step of X = sum c_i B_i (``_expm.cayley_batch``),
+    A step is the scaled Cayley step of X = sum c_i B_i (``_expm.cayley_in_place``),
     close to exp(X), with i.i.d. gaussian coefficients c_i of standard
     deviation ``scale``; X is gathered from them through the index tables of
     the basis (``_index_tables``). ``forms`` maps "hermitian", "symmetric"
@@ -205,14 +205,15 @@ def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
                           count: int) -> np.ndarray:
     """Draw ``count`` random group elements, the scaled Cayley steps
     cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2), with s
-    set by the largest 1-norm of the ``count`` draws. A coordinate of X is a
+    set by each draw's own 1-norm. Each element is a function of its own
+    coefficients, so the first m of ``count`` draws are the m draws of a
+    fresh generator on the same seed, bit for bit. A coordinate of X is a
     sum of at most two terms +-c_i, in any order the same, so the gathered X
     equals np.tensordot's against ``basis`` up to the sign of a zero, which
     I +- X / 2^(s+1) in the Cayley step erases. The coefficients are scaled
     in place and dropped once X is gathered, and X is stepped in place
-    (``_expm.cayley_in_place``; ``cayley_batch`` would copy it), so the
-    draws hold count * (8 algebra_dim + d^2 itemsize) bytes, plus one
-    slice's workspace."""
+    (``_expm.cayley_in_place``), so the draws hold
+    count * (8 algebra_dim + d^2 itemsize) bytes, plus one slice's workspace."""
     coeffs = rng.standard_normal((count, sampler.form.algebra_dim))
     coeffs *= sampler.scale
     X = _combine(sampler, coeffs)

@@ -43,7 +43,7 @@ from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
                         sample_group_elements, standard_multiplicities)
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
-_CHUNK_TARGET = 20_000   # steps sampled per batch; fixed so runs are reproducible
+_CHUNK_TARGET = 20_000   # steps sampled per batch; bounds memory, not bits
 # bytes above which a run warns before sampling: of one trial's chunk buffers
 # (its coefficients, then X, which is stepped in place), and of every trial's
 # folded blocks of a chunk at the smallest renorm interval the run may use
@@ -363,15 +363,17 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     return acc / (steps - warmup), max_sample_err, max_block_err
 
 
-def _sum_rule_violation(per_trial: np.ndarray) -> NumericalError | None:
+def _sum_rule_violation(per_trial: np.ndarray, interval: int) -> NumericalError | None:
     """Every sampled element has |det| = 1, so each trial's exponents must
-    sum to 0; a larger sum means the QR scheme lost precision."""
+    sum to 0; a larger sum means the QR scheme lost precision at renorm
+    interval ``interval``."""
     for trial, total in enumerate(per_trial.sum(axis=1)):
         if not abs(total) <= _SUM_RULE_TOL:
             return NumericalError(
                 "trace sum rule violated: the exponents must sum to 0; "
                 "the QR scheme lost precision (lower renorm_interval or scale)",
-                {"trial": trial, "sum": float(total), "threshold": _SUM_RULE_TOL})
+                {"trial": trial, "sum": float(total), "threshold": _SUM_RULE_TOL,
+                 "renorm_interval": interval})
     return None
 
 
@@ -407,7 +409,8 @@ def _run_with_retry(config: SimConfig, rep=None):
             failure = NumericalError(f"cocycle overflow at renorm_interval {interval}",
                                      {"config": repr(config), "failure": str(exc)})
             continue
-        failure = _sum_rule_violation(out[0][:, :d]) or _sum_rule_violation(out[0][:, d:])
+        failure = (_sum_rule_violation(out[0][:, :d], interval)
+                   or _sum_rule_violation(out[0][:, d:], interval))
         if failure is None:
             return out + (interval,)
     raise failure

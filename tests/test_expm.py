@@ -1,22 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from lyapzeros import _expm, lie_algebra_basis, so_split, so_star, sp, su
-from lyapzeros._expm import cayley_batch, real_form, times
+from lyapzeros._expm import cayley_in_place, real_form, times
 from lyapzeros.errors import NumericalError
 from lyapzeros.realforms import form_preservation_errors
 
 
 def test_zero_matrix():
-    out = cayley_batch(np.zeros((3, 2, 2)))
+    out = cayley_in_place(np.zeros((3, 2, 2)))
     assert np.array_equal(out, np.broadcast_to(np.eye(2), (3, 2, 2)))
-
-
-def test_integer_input_is_converted():
-    X = np.array([[0, -1], [1, 0]])
-    assert np.array_equal(cayley_batch(X), cayley_batch(X.astype(float)))
 
 
 def test_rotation_closed_form():
@@ -27,15 +20,15 @@ def test_rotation_closed_form():
     X = np.array([[0.0, -theta], [theta, 0.0]])
     want = np.array([[np.cos(phi), -np.sin(phi)],
                      [np.sin(phi), np.cos(phi)]])
-    assert np.abs(cayley_batch(X) - want).max() < 1e-14
+    assert np.abs(cayley_in_place(X) - want).max() < 1e-14
 
 
 def test_inverse_identity():
     # cay(-A) = cay(A)^-1, and -X selects the same s as X
     rng = np.random.default_rng(7)
     X = 0.4 * (rng.standard_normal((50, 4, 4)) + 1j * rng.standard_normal((50, 4, 4)))
-    G = cayley_batch(X)
-    Ginv = cayley_batch(-X)
+    G = cayley_in_place(X.copy())
+    Ginv = cayley_in_place(-X)
     err = np.abs(G @ Ginv - np.eye(4)).max()
     assert err < 1e-12
 
@@ -44,14 +37,11 @@ def test_inverse_identity():
                          ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.3, 5.0])
 def test_result_is_bit_identical_in_any_batch(form, scale):
-    # same s: pair each matrix with the batch's largest-norm one
     X = _samples(form, scale, 1200, seed=5)
-    whole = cayley_batch(X)
-    top = _norms(X).argmax()
+    whole = cayley_in_place(X.copy())
     for i in (0, 511, 512, 1199):
-        assert np.array_equal(cayley_batch(X[[i, top]])[0], whole[i])
-    part = np.concatenate([X[600:1100], X[[top]]])
-    assert np.array_equal(cayley_batch(part)[:500], whole[600:1100])
+        assert np.array_equal(cayley_in_place(X[[i, 0]])[0], whole[i])
+    assert np.array_equal(cayley_in_place(X[600:1100].copy()), whole[600:1100])
 
 
 def _complex_stack(rng, shape):
@@ -81,11 +71,9 @@ def test_real_form_product_matches_matmul(d, batch):
 
 def test_rejects_bad_input():
     with pytest.raises(NumericalError):
-        cayley_batch(np.zeros((2, 3)))
-    with pytest.raises(NumericalError):
-        cayley_batch(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        cayley_in_place(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(NumericalError):     # finite entries, 1-norm 2e308
-        cayley_batch(np.full((2, 2), 1e308))
+        cayley_in_place(np.full((2, 2), 1e308))
 
 
 # the six forms of the benchmark's simulation workload
@@ -102,17 +90,23 @@ def _norms(X):
     return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
-@pytest.mark.parametrize("form", BENCH_FORMS + [so_split(10)], ids=lambda f: f.label())
+def _squarings(X):
+    # s = max(0, ceil(log2 ||X||_1)) for each matrix of X
+    return np.maximum(0, np.ceil(np.log2(_norms(X)))).astype(int)
+
+
+@pytest.mark.parametrize("form", BENCH_FORMS + [so_split(10), su(5, 5)],
+                         ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
-def test_batch_is_a_copy_stepped_in_place(form, scale):
-    # so(10,2), d = 12, takes the LAPACK solve; 1200 matrices are six slices
+def test_stacked_steps_equal_single_steps(form, scale):
+    # each step is a function of its own draw: stepping the stack in place
+    # gives the bits of stepping every draw alone. so(10,2) and su(5,5)
+    # take the LAPACK solve; 1200 of their matrices are six and eight slices
     X = _samples(form, scale, 1200, seed=6)
-    before = X.copy()
-    g = cayley_batch(X)
-    assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
-    stepped = _expm.cayley_in_place(X)
+    single = np.concatenate([cayley_in_place(X[i:i + 1].copy()) for i in range(len(X))])
+    stepped = cayley_in_place(X)
     assert np.shares_memory(stepped, X)
-    assert np.array_equal(stepped.view(np.uint64), g.view(np.uint64))
+    assert np.array_equal(stepped.view(np.uint64), single.view(np.uint64))
 
 
 @pytest.mark.parametrize("form,length", [
@@ -133,9 +127,7 @@ def test_non_finite_entry_in_the_last_slice_raises_before_any_step(bad):
     X[-1, 1, 2] = bad
     before = X.copy()
     with pytest.raises(NumericalError, match="non-finite"):
-        cayley_batch(X)
-    with pytest.raises(NumericalError, match="non-finite"):
-        _expm.cayley_in_place(X)
+        cayley_in_place(X)
     assert np.array_equal(X, before, equal_nan=True)
 
 
@@ -144,7 +136,7 @@ def test_non_finite_entry_in_the_last_slice_raises_before_any_step(bad):
 def test_steps_preserve_forms(form, scale):
     # rounding grows with the entries, so the error is relative to max|g|^2;
     # at scale 5 the steps reach |g| ~ 1e10
-    g = cayley_batch(_samples(form, scale, 500, seed=1))
+    g = cayley_in_place(_samples(form, scale, 500, seed=1))
     bound = 1e-13 * max(1.0, float(np.abs(g).max())) ** 2
     for name, err in form_preservation_errors(lie_algebra_basis(form, scale), g).items():
         assert err <= bound, (name, err, bound)
@@ -152,39 +144,41 @@ def test_steps_preserve_forms(form, scale):
 
 def _within_third_order_of_expm(X):
     # cay(A) = exp(2 artanh(A)), so g = exp(X + X^3 / (12 * 4^s) + ...) for
-    # s = ceil(log2 of the batch's largest 1-norm) squarings; the factor 2
-    # leaves room for the higher terms
+    # s = ceil(log2 of each matrix's 1-norm) squarings; the factor 2 leaves
+    # room for the higher terms
     scipy_linalg = pytest.importorskip("scipy.linalg")
     want = scipy_linalg.expm(X)
-    s = max(0, math.ceil(math.log2(_norms(X).max())))
-    err = _norms(cayley_batch(X) - want) / _norms(want)
+    s = _squarings(X)
+    err = _norms(cayley_in_place(X.copy()) - want) / _norms(want)
     assert (err <= _norms(X) ** 3 / (6 * 4 ** s)).all()
 
 
 @pytest.mark.parametrize("form", BENCH_FORMS, ids=lambda f: f.label())
 def test_matches_scipy_on_samplers(form):
-    for scale in (0.05, 0.3):     # batch norms below 1 and above 2
+    for scale in (0.05, 0.3):     # norms mostly below 1, and up to above 2
         _within_third_order_of_expm(_samples(form, scale, 500, seed=1))
 
 
 def test_single_matrix_matches_scipy():
     X = 0.1 * np.random.default_rng(4).standard_normal((6, 6))
-    assert cayley_batch(X).shape == (6, 6)
+    assert cayley_in_place(X.copy()).shape == (6, 6)
     _within_third_order_of_expm(X)
 
 
-# the largest real and complex forms below the cutoff, d = 11
+# Gauss-Jordan is checked up to d = 11 for both dtypes, above the complex
+# cutoff too: so(9,2) and su(10,1)
 CUTOFF_FORMS = [so_split(9), su(10, 1)]
+ALL_GAUSS_JORDAN = {"f": 11, "c": 11}
 
 
 @pytest.mark.parametrize("form", BENCH_FORMS + CUTOFF_FORMS, ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
 def test_gauss_jordan_agrees_with_lapack(form, scale, monkeypatch):
-    assert form.matrix_dim <= _expm._GAUSS_JORDAN_MAX_DIM
     X = _samples(form, scale, 1200, seed=2)
-    g = cayley_batch(X)
-    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", 0)
-    want = cayley_batch(X)
+    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", ALL_GAUSS_JORDAN)
+    g = cayley_in_place(X.copy())
+    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", {"f": 0, "c": 0})
+    want = cayley_in_place(X)
     bound = 1e-14 * max(1.0, float(np.abs(want).max())) ** 2
     assert np.abs(g - want).max() <= bound
 
@@ -197,14 +191,15 @@ def test_scaled_batches_are_column_diagonally_dominant(form, scale, monkeypatch)
     seen = []
     real = _expm._solve_gauss_jordan
 
-    def spy(H):
-        seen.append(H.copy())
-        return real(H)
+    def spy(X, scale):
+        seen.append(X * scale[:, None, None])
+        return real(X, scale)
 
     monkeypatch.setattr(_expm, "_solve_gauss_jordan", spy)
+    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", ALL_GAUSS_JORDAN)
     X = _samples(form, scale, 1200, seed=3)
     monkeypatch.setattr(_expm, "_BLOCK_BYTES", 512 * X[0].nbytes)
-    cayley_batch(X)
+    cayley_in_place(X)
     assert len(seen) == 3       # slices of 512, 512 and 176 matrices
     for H in seen:
         diag = np.diagonal(H, axis1=-2, axis2=-1)
@@ -212,15 +207,31 @@ def test_scaled_batches_are_column_diagonally_dominant(form, scale, monkeypatch)
         assert (np.abs(1 - diag) > off).all()
 
 
-@pytest.mark.parametrize("form", [so_split(10), su(6, 6)], ids=lambda f: f.label())
+@pytest.mark.parametrize("form,gauss_jordan", [
+    (so_split(9), True), (su(4, 4), True), (su(8, 1), False), (su(5, 5), False),
+], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
+def test_solve_follows_the_cutoff_of_its_dtype(form, gauss_jordan, monkeypatch):
+    # real d = 11 and complex d = 8 keep Gauss-Jordan; complex d = 9 and 10
+    # take LAPACK's solve
+    calls = []
+    real = _expm._solve_gauss_jordan
+    monkeypatch.setattr(_expm, "_solve_gauss_jordan", lambda *args: calls.append(1) or real(*args))
+    cayley_in_place(_samples(form, 0.3, 10, seed=9))
+    assert bool(calls) == gauss_jordan
+
+
+@pytest.mark.parametrize("form", [so_split(10), su(6, 6), su(8, 1), su(5, 5)],
+                         ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3])
 def test_above_the_cutoff_keeps_the_lapack_solve(form, scale):
-    assert form.matrix_dim == _expm._GAUSS_JORDAN_MAX_DIM + 1
+    dtype = complex if form.is_complex_family else float
+    assert form.matrix_dim > _expm._GAUSS_JORDAN_MAX_DIM[np.dtype(dtype).kind]
     X = _samples(form, scale, 600, seed=4)
-    s = max(0, math.ceil(math.log2(_norms(X).max())))
+    s = _squarings(X)
     eye = np.eye(form.matrix_dim)
-    H = X * 2.0 ** -(s + 1)
+    H = X * np.ldexp(1.0, -1 - s)[:, None, None]
     want = np.linalg.solve(eye - H, eye + H)
-    for _ in range(s):
-        want = times(want, real_form(want))
-    assert np.array_equal(cayley_batch(X), want)
+    for k in range(s.max()):
+        sq = s > k
+        want[sq] = times(want[sq], real_form(want[sq]))
+    assert np.array_equal(cayley_in_place(X), want)

@@ -12,7 +12,7 @@ from lyapzeros import (Family, InternalError, NumericalError, ParameterError, Re
                        RepSpec, Weight, WeightMultiset, exterior_power_matrix, lie_algebra_basis,
                        restriction_map, sample_group_elements, so_split, so_star,
                        sp, su, weights_restricted)
-from lyapzeros._expm import cayley_batch, slice_length
+from lyapzeros._expm import cayley_in_place, slice_length
 from lyapzeros.realforms import form_preservation_errors
 from lyapzeros.weights import exterior_power_bound
 
@@ -375,6 +375,20 @@ class TestSampling:
         assert form_preservation_errors(sampler, g) == sliced
         assert min(sliced.values()) > 1e-3
 
+    @pytest.mark.parametrize("form", [su(2, 1), su(3, 1), so_star(3), sp(2), so_split(5),
+                                      su(5, 1)], ids=lambda f: f.label())
+    def test_a_shorter_draw_is_a_prefix_of_a_longer_one(self, form):
+        # each step is a function of its own draw: the first m of n steps,
+        # n over three slices, are the m steps of a fresh generator on the
+        # same seed, for m in the first and second slice
+        sampler = lie_algebra_basis(form)
+        d = form.matrix_dim
+        length = slice_length(np.empty((1, d, d), sampler.dtype))
+        longer = sample_group_elements(sampler, np.random.default_rng(11), 2 * length + 100)
+        for m in (1, 37, length + 37):
+            shorter = sample_group_elements(sampler, np.random.default_rng(11), m)
+            assert np.array_equal(longer[:m].view(np.uint64), shorter.view(np.uint64)), m
+
     @pytest.mark.parametrize("form", [su(2, 1), so_star(3), sp(2)],
                              ids=lambda f: f.label())
     def test_non_finite_entry_reads_inf(self, form):
@@ -423,7 +437,7 @@ class TestSampling:
         X = np.tensordot(coeffs * sampler.scale, sampler.basis, axes=(1, 0))
         assert combined[0].dtype == X.dtype == sampler.dtype
         assert np.array_equal(combined[0], X)
-        assert np.array_equal(g.view(np.uint64), cayley_batch(X).view(np.uint64))
+        assert np.array_equal(g.view(np.uint64), cayley_in_place(X).view(np.uint64))
 
     def test_large_algebra_builds_no_dense_basis(self):
         # su(30,30)'s dense basis alone takes 3599 * 60^2 * 16 bytes = 207 MB

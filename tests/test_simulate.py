@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import json
 import os
 import sys
 import threading
@@ -372,6 +373,23 @@ class TestLyapunovSpectrum:
         for a, b in zip(two.trial_exponents, three.trial_exponents[:2]):
             assert sorted(a) == sorted(b)
 
+    @pytest.mark.parametrize("form,rep", [
+        (su(2, 1), RepSpec.standard()), (su(3, 1), RepSpec.standard()),
+        (so_star(3), RepSpec.standard()), (sp(2), RepSpec.standard()),
+        (so_split(5), RepSpec.standard()), (su(3, 1), RepSpec.exterior(2)),
+        (su(5, 1), RepSpec.exterior(3)),
+    ], ids=lambda v: v.label())
+    def test_chunk_size_does_not_change_the_bits(self, form, rep, monkeypatch):
+        # one chunk of 10,000 steps and ten of 1,000 give the same run
+        runs = []
+        for chunk in (20_000, 1000):
+            monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", chunk)
+            result = lyapunov_spectrum(quick(form, rep, steps=10_000, trials=8))
+            record = result.as_record()
+            record.pop("elapsed_seconds")
+            runs.append(json.dumps([record, result.trial_exponents]))
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("scale", [5.0, 2.0])
     def test_sum_rule_gate(self, scale):
         # SL(2,R) blocks this large lose precision in the QR scheme: the
@@ -380,7 +398,8 @@ class TestLyapunovSpectrum:
         with pytest.raises(NumericalError, match="sum rule") as info:
             lyapunov_spectrum(SimConfig(form=sp(1), steps=2000, trials=2, scale=scale))
         diag = info.value.diagnostics
-        assert set(diag) == {"trial", "sum", "threshold"}
+        assert set(diag) == {"trial", "sum", "threshold", "renorm_interval"}
+        assert diag["renorm_interval"] == 5     # the retry's half interval
         assert abs(diag["sum"]) > diag["threshold"]
 
     def test_healthy_run_is_not_retried(self, monkeypatch):

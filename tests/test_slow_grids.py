@@ -1,5 +1,8 @@
 """Wide simulation grids (minutes of runtime); opt in with ``pytest -m slow``."""
 
+import io
+import json
+
 import pytest
 
 import lyapzeros as lz
@@ -59,3 +62,49 @@ def _args_for(label):
         return ["--group", "so-split", "--m", m]
     g = int(label[3:-3]) // 2
     return ["--group", "sp", "--g", str(g)]
+
+
+# the seven verify pairs of the benchmark's simulation workload
+SIM_PAIRS = [
+    ["--group", "su", "--p", "2", "--q", "1", "--rep", "standard"],
+    ["--group", "su", "--p", "3", "--q", "1", "--rep", "standard"],
+    ["--group", "so-star", "--n", "3", "--rep", "standard"],
+    ["--group", "sp", "--g", "2", "--rep", "standard"],
+    ["--group", "so-split", "--m", "5", "--rep", "standard"],
+    ["--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2"],
+    ["--group", "su", "--p", "5", "--q", "1", "--rep", "ext:3"],
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("pair", SIM_PAIRS, ids=lambda a: " ".join(a[1::2]))
+def test_benchmark_size_verdicts(pair, seed):
+    # at 5000 steps x 8 trials every run must match, with its exponents
+    # summing to at most 1e-9 lambda_max and a sample form error below 1e-10
+    buf = io.StringIO()
+    code = main(["verify"] + pair + ["--steps", "5000", "--trials", "8", "--seed", str(seed),
+                                     "--format", "json"], out=buf)
+    payload = json.loads(buf.getvalue())["payload"]
+    exps = payload["result"]["exponents_real"]
+    assert code == 0 and payload["verdict"] == "match", payload["details"]
+    assert abs(sum(exps)) <= 1e-9 * max(exps)
+    assert payload["result"]["max_sample_form_error"] < 1e-10
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("renorm,code", [("10", 1), ("1", 0)])
+def test_su_100_100_needs_renorm_1(renorm, code, capsys):
+    # blocks of 10 and then 5 steps lose precision on su(100,100): the
+    # failure names the retry's interval, 5; blocks of one step pass
+    buf = io.StringIO()
+    argv = ["simulate", "--group", "su", "--p", "100", "--q", "100", "--steps", "20",
+            "--trials", "2", "--renorm", renorm, "--format", "json"]
+    assert main(argv, out=buf) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numerical error: trace sum rule violated")
+        assert "'renorm_interval': 5}" in err
+        assert buf.getvalue() == ""
+    else:
+        assert json.loads(buf.getvalue())["payload"]["renorm_interval_used"] == 1
