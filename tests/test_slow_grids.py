@@ -65,26 +65,20 @@ def _args_for(label):
 
 
 # the seven verify pairs of the benchmark's simulation workload
-SIM_PAIRS = [
-    ["--group", "su", "--p", "2", "--q", "1", "--rep", "standard"],
-    ["--group", "su", "--p", "3", "--q", "1", "--rep", "standard"],
-    ["--group", "so-star", "--n", "3", "--rep", "standard"],
-    ["--group", "sp", "--g", "2", "--rep", "standard"],
-    ["--group", "so-split", "--m", "5", "--rep", "standard"],
-    ["--group", "su", "--p", "3", "--q", "1", "--rep", "ext:2"],
-    ["--group", "su", "--p", "5", "--q", "1", "--rep", "ext:3"],
-]
+SIM_PAIRS = [("su(2,1)", "standard"), ("su(3,1)", "standard"), ("so*(6)", "standard"),
+             ("sp(4,R)", "standard"), ("so(5,2)", "standard"), ("su(3,1)", "ext:2"),
+             ("su(5,1)", "ext:3")]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(1, 11))
-@pytest.mark.parametrize("pair", SIM_PAIRS, ids=lambda a: " ".join(a[1::2]))
-def test_benchmark_size_verdicts(pair, seed):
+@pytest.mark.parametrize("form_label,rep_label", SIM_PAIRS)
+def test_benchmark_size_verdicts(form_label, rep_label, seed):
     # at 5000 steps x 8 trials every run must match, with its exponents
     # summing to at most 1e-9 lambda_max and a sample form error below 1e-10
     buf = io.StringIO()
-    code = main(["verify"] + pair + ["--steps", "5000", "--trials", "8", "--seed", str(seed),
-                                     "--format", "json"], out=buf)
+    code = main(["verify"] + _args_for(form_label) + ["--rep", rep_label, "--steps", "5000",
+                "--trials", "8", "--seed", str(seed), "--format", "json"], out=buf)
     payload = json.loads(buf.getvalue())["payload"]
     exps = payload["result"]["exponents_real"]
     assert code == 0 and payload["verdict"] == "match", payload["details"]
