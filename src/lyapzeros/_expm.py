@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 
 # bytes of matrices that one slice of a sliced loop holds, here and in
 # matrices: 256 KiB stays in a core's L2 cache and is work enough per call
@@ -123,7 +123,13 @@ def cayley_in_place(X: np.ndarray) -> np.ndarray:
     full-size |X| is built, and a non-finite entry or 1-norm of any draw
     raises NumericalError before any step. Each slice's result then
     overwrites it, which is safe because the slice's H = X / 2^(s+1) is a
-    scaled copy."""
+    scaled copy. Any other stack raises ParameterError before X is read:
+    reshaping a non-contiguous one would copy it, and the steps would go to
+    the copy."""
+    if not X.flags.c_contiguous or X.dtype.kind not in "fc":
+        raise ParameterError("cayley_in_place needs a C-contiguous float or complex "
+                             f"stack (got dtype {X.dtype}, C-contiguous "
+                             f"{X.flags.c_contiguous})")
     d = X.shape[-1]
     A = X.reshape(-1, d, d)
     step = slice_length(A)

@@ -43,10 +43,12 @@ from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
                         sample_group_elements, standard_multiplicities)
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
-_CHUNK_TARGET = 20_000   # steps sampled per batch; bounds memory, not bits
-# bytes above which a run warns before sampling: of one trial's chunk buffers
-# (its coefficients, then X, which is stepped in place), and of every trial's
-# folded blocks of a chunk at the smallest renorm interval the run may use
+# bytes that one sampling chunk of whole renorm blocks may hold
+# (``_block_bytes``), as ``_expm._BLOCK_BYTES`` sizes slices; bounds memory,
+# not bits
+_CHUNK_BYTES = 2 ** 25
+# bytes of one renorm block above which a run warns before sampling: a chunk
+# holds at least one
 _CHUNK_MEMORY_LIMIT = 2 ** 30
 # largest |sum of a trial's exponents| accepted. At the default scale and
 # renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
@@ -196,39 +198,28 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial])
 
 
-def _block_bounds(total: int, interval: int, chunk: int) -> list[tuple[int, int]]:
-    """Chunk sizes (in steps) aligned to renorm blocks."""
-    per_chunk = max(interval, (chunk // interval) * interval)
-    bounds = []
-    done = 0
-    while done < total:
-        m = min(per_chunk, total - done)
-        bounds.append((done, done + m))
-        done += m
-    return bounds
+def _block_bytes(sampler: GroupSampler, interval: int, trials: int) -> int:
+    """Bytes that one renorm block of ``interval`` steps costs a chunk: the
+    coefficients and X of each sampling thread, counted at the thread cap
+    min(2, trials) and not at the CPUs, so that chunk lengths do not depend
+    on the machine, plus every trial's folded block."""
+    matrix = sampler.matrix_dim ** 2 * sampler.dtype.itemsize
+    return (interval * min(2, trials) * (8 * sampler.form.algebra_dim + matrix)
+            + trials * matrix)
 
 
-def _fold_blocks(G: np.ndarray, interval: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Products over consecutive blocks of ``interval`` matrices, written
-    to ``out`` (blocks, d, d) if given.
+def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> np.ndarray:
+    """Products over consecutive blocks of ``interval`` matrices of G,
+    written to ``out`` (blocks, d, d), which is returned.
 
     The tail block may be shorter. Product order matches cocycle order:
-    the last matrix of a block is applied last, so each step multiplies
-    the running products from the left by one sample of every block.
+    the last matrix of a block is applied last, so the j-th step of every
+    block that has one multiplies its running product from the left.
     """
-    m, d = G.shape[0], G.shape[-1]
-    nfull = m // interval
-    if out is None:
-        out = np.empty((-(-m // interval), d, d), G.dtype)
-    stacks = [G[:nfull * interval].reshape(nfull, interval, d, d),
-              G[nfull * interval:][None]]
-    for body, dest in zip(stacks, (out[:nfull], out[nfull:])):   # (blocks, length, d, d)
-        if body.size:
-            B = body[:, 0]
-            for j in range(1, body.shape[1]):
-                B = times(body[:, j], real_form(B))
-            dest[...] = B
+    out[...] = G[::interval]
+    for j in range(1, min(interval, len(G))):
+        step = G[j::interval]
+        out[:len(step)] = times(step, real_form(out[:len(step)]))
     return out
 
 
@@ -309,10 +300,14 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
                   rngs: list[np.random.Generator], rep=None):
     """QR scheme for all trials at once, trial j drawing from ``rngs[j]``.
 
-    Each chunk, every trial samples, checks and folds its own blocks
-    (``_sample_trial``) into its column of one (blocks, trials, d, d) array,
-    on one of min(2, usable CPUs, trials) threads, which live for this call
-    only; the blocks are then multiplied into the stacked frames
+    The steps are sampled in chunks of as many whole renorm blocks as fit
+    in ``_CHUNK_BYTES`` at ``_block_bytes`` each, and at least one. Each
+    step is a function of its own draw, so the chunk length bounds memory
+    and moves no bit. Each chunk, every trial samples, checks and folds its
+    own blocks (``_sample_trial``) into its column of a prefix of one
+    (blocks, trials, d, d) array, allocated once per call, on one of
+    min(2, usable CPUs, trials) threads, which live for this call only;
+    the blocks are then multiplied into the stacked frames
     (trials, d, d) with one stacked QR per block (``_qr_step``). The logs
     of |diag R|, their finiteness check and their accumulation run once
     per chunk.
@@ -322,13 +317,17 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     direct sums g + Lambda^k g of exterior_consistency_check).
     """
     rep = rep or (lambda B: B)
-    d = sampler.matrix_dim
+    d, trials = sampler.matrix_dim, len(rngs)
     eye = rep(np.eye(d, dtype=sampler.dtype))
-    Q = np.broadcast_to(eye, (len(rngs),) + eye.shape)
+    Q = np.broadcast_to(eye, (trials,) + eye.shape)
     acc = np.zeros(Q.shape[:-1])
     max_sample_err = 0.0
     max_block_err = 0.0
-    workers = _worker_count(len(rngs))
+    chunk = max(1, _CHUNK_BYTES // _block_bytes(sampler, interval, trials)) * interval
+    held = np.empty((-(-min(chunk, steps) // interval), trials, d, d), sampler.dtype)
+    # row i + 1 takes |diag R| of a chunk's block i, and row 0 the sum so far
+    logs = np.empty((len(held) + 1,) + acc.shape)
+    workers = _worker_count(trials)
     pool = None
     if workers > 1:
         # imported here, so that callers that never simulate (predict,
@@ -336,27 +335,26 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
     try:
-        for lo, hi in _block_bounds(steps, interval, _CHUNK_TARGET):
-            nblocks = -(-(hi - lo) // interval)
-            held = np.empty((nblocks, len(rngs), d, d), sampler.dtype)
-            trial = partial(_sample_trial, sampler, interval, hi - lo)
-            errs = (pool.map if pool else map)(trial, rngs, np.swapaxes(held, 0, 1))
+        for lo in range(0, steps, chunk):
+            count = min(chunk, steps - lo)
+            blocks = held[:-(-count // interval)]
+            trial = partial(_sample_trial, sampler, interval, count)
+            errs = (pool.map if pool else map)(trial, rngs, np.swapaxes(blocks, 0, 1))
             sample_errs, block_errs = zip(*errs)
             max_sample_err = max(max_sample_err, *sample_errs)
             max_block_err = max(max_block_err, *block_errs)
-            # row i + 1 takes |diag R| of block i; the warmup blocks are then
-            # dropped (lo and warmup are multiples of interval), and the row
-            # before the first block kept takes acc
-            logs = np.empty((nblocks + 1,) + acc.shape)
-            for i, B in enumerate(held):    # one block of every trial
+            nblocks = len(blocks)
+            for i, B in enumerate(blocks):    # one block of every trial
                 Q = _qr_step(rep(B), Q, logs[i + 1])
-            logs = logs[min(nblocks, max(0, (warmup - lo) // interval)):]
+            # the warmup blocks are dropped (lo and warmup are multiples of
+            # interval), and the row before the first block kept takes acc
+            rows = logs[min(nblocks, max(0, (warmup - lo) // interval)):nblocks + 1]
             with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
-                np.log(logs[1:], out=logs[1:])
-            if not np.isfinite(logs[1:]).all():
+                np.log(rows[1:], out=rows[1:])
+            if not np.isfinite(rows[1:]).all():
                 raise _CocycleOverflow("degenerate QR factor")
-            logs[0] = acc
-            acc = np.add.reduce(logs, axis=0)   # block by block, as a running sum
+            rows[0] = acc
+            acc = np.add.reduce(rows, axis=0)   # block by block, as a running sum
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -383,21 +381,15 @@ def _run_with_retry(config: SimConfig, rep=None):
     once at half the renorm interval, since shorter blocks are better
     conditioned; a second failure raises NumericalError. The sum rule holds
     for the first matrix_dim columns and for the rest, if ``rep`` adds any.
-    A trial's chunk buffers, chunk * (8 algebra_dim + d^2 itemsize) bytes
-    (the coefficients and X, stepped in place), or every trial's blocks at
-    the retry's interval, over ``_CHUNK_MEMORY_LIMIT`` warn first."""
+    A chunk holds at least one renorm block, so a run whose block at the
+    configured interval (``_block_bytes``) exceeds ``_CHUNK_MEMORY_LIMIT``
+    warns first; the retry's half interval costs less."""
     form, d = config.form, config.form.matrix_dim
     sampler = lie_algebra_basis(form, config.scale)
-    chunk = min(config.steps, _CHUNK_TARGET)
-    matrix_bytes = d * d * sampler.dtype.itemsize
-    nbytes = chunk * (8 * form.algebra_dim + matrix_bytes)
+    nbytes = _block_bytes(sampler, config.renorm_interval, config.trials)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
-        f"{form.label()} chunks of {chunk:,} steps take {nbytes:,} bytes per trial"))
-    smallest = max(1, config.renorm_interval // 2)
-    held = config.trials * math.ceil(chunk / smallest) * matrix_bytes
-    _warn_size(held, _CHUNK_MEMORY_LIMIT, lambda: (
-        f"{form.label()} runs of {config.trials:,} trials hold {held:,} bytes of "
-        f"folded blocks per chunk at renorm interval {smallest}"))
+        f"{form.label()} runs of {config.trials:,} trials take {nbytes:,} bytes per "
+        f"renorm block of {config.renorm_interval} steps"))
     for interval in (config.renorm_interval, config.renorm_interval // 2):
         if interval == 0:   # renorm_interval 1 has no half
             break

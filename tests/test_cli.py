@@ -436,6 +436,19 @@ class TestParserReuse:
         assert rec["provenance"]["parameters"] == {"subcommand": "classify", "max_dim": 4}
 
 
+class TestSimDefaults:
+    """The simulation flags' defaults are written in _add_sim_flags and
+    --zero-threshold as well as in SimConfig: both copies must agree."""
+
+    @pytest.mark.parametrize("command,extra", [("simulate", []), ("verify", []),
+                                               ("exterior-check", ["--k", "2"])])
+    def test_flags_default_to_the_config_defaults(self, command, extra, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        args = cli.build_parser().parse_args(
+            [command, "--group", "su", "--p", "3", "--q", "1", *extra])
+        assert cli._sim_config(args) == simulate.SimConfig(form=su(3, 1))
+
+
 class TestVerify:
     def test_match_exit0(self):
         code, rec = run_json(["verify", "--group", "su", "--p", "1", "--q", "1",

@@ -3,7 +3,7 @@ import pytest
 
 from lyapzeros import _expm, lie_algebra_basis, so_split, so_star, sp, su
 from lyapzeros._expm import cayley_in_place, real_form, times
-from lyapzeros.errors import NumericalError
+from lyapzeros.errors import NumericalError, ParameterError
 from lyapzeros.realforms import form_preservation_errors
 
 
@@ -74,6 +74,18 @@ def test_rejects_bad_input():
         cayley_in_place(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(NumericalError):     # finite entries, 1-norm 2e308
         cayley_in_place(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize("X", [
+    # a transposed 4-d stack: reshaping it would copy, and the copy be stepped
+    0.3 * np.arange(54.0).reshape(3, 3, 3, 2).transpose(0, 3, 1, 2),
+    np.arange(12).reshape(3, 2, 2),
+], ids=["non-contiguous", "integer"])
+def test_rejects_a_stack_it_cannot_step_in_place(X):
+    before = X.copy()
+    with pytest.raises(ParameterError, match="C-contiguous float or complex"):
+        cayley_in_place(X)
+    assert np.array_equal(X, before)
 
 
 # the six forms of the benchmark's simulation workload

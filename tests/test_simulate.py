@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from functools import partial
 from itertools import combinations
@@ -17,13 +18,27 @@ from lyapzeros import (NumericalError, ParameterError, RepSpec, SimConfig,
                        estimate_lyapunov_vector, exterior_consistency_check,
                        lyapunov_spectrum, predict, so_split, so_star, sp, su,
                        verify_prediction)
-from lyapzeros.simulate import _SPIN_MESSAGE, _block_bounds, _fold_blocks
+from lyapzeros._expm import real_form, times
+from lyapzeros.simulate import _SPIN_MESSAGE, _block_bytes, _fold_blocks
 
 
 def quick(form, rep=RepSpec.standard(), **kw):
     defaults = dict(steps=20_000, trials=4, master_seed=42)
     defaults.update(kw)
     return SimConfig(form=form, rep=rep, **defaults)
+
+
+def chunk_steps(monkeypatch, form, trials, steps, interval=10):
+    """Size the sampling chunks of ``trials`` trials of ``form`` at renorm
+    interval ``interval`` to ``steps`` steps, through their byte budget."""
+    per_block = _block_bytes(lz.lie_algebra_basis(form), interval, trials)
+    monkeypatch.setattr(lz.simulate, "_CHUNK_BYTES", steps // interval * per_block)
+
+
+def fold(G, interval):
+    """_fold_blocks into a fresh array."""
+    out = np.empty((-(-len(G) // interval),) + G.shape[1:], G.dtype)
+    return _fold_blocks(G, interval, out)
 
 
 class TestSimConfig:
@@ -122,26 +137,34 @@ class TestClassifyZeroCluster:
 
 
 class TestBlockMachinery:
-    def test_block_bounds_cover(self):
-        bounds = _block_bounds(105, 10, 40)
-        assert bounds[0] == (0, 40)
-        assert bounds[-1][1] == 105
-        assert [hi - lo for lo, hi in bounds] == [40, 40, 25]
-
     def test_fold_blocks_product_order(self):
         rng = np.random.default_rng(0)
         G = rng.standard_normal((7, 3, 3))
-        B = _fold_blocks(G, 3)
+        B = fold(G, 3)
         assert B.shape == (3, 3, 3)
         assert np.allclose(B[0], G[2] @ G[1] @ G[0])
         assert np.allclose(B[2], G[6])
         # a complex stack goes through the real-GEMM products
         sampler = lz.lie_algebra_basis(su(3, 1))
         G = lz.sample_group_elements(sampler, rng, 7)
-        B = _fold_blocks(G, 3)
+        B = fold(G, 3)
         assert B.shape == (3, 4, 4) and B.dtype == G.dtype
         for got, want in zip(B, (G[2] @ G[1] @ G[0], G[5] @ G[4] @ G[3], G[6])):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("form", [sp(2), su(3, 1)], ids=lambda f: f.label())
+    @pytest.mark.parametrize("count", [28, 25], ids=["whole", "tail"])
+    def test_fold_blocks_bits_match_block_by_block(self, form, count):
+        # each block folded on its own, one single-matrix product at a time
+        sampler = lz.lie_algebra_basis(form)
+        G = lz.sample_group_elements(sampler, np.random.default_rng(3), count)
+        got = fold(G, 7)
+        assert len(got) == 4
+        for block, lo in zip(got, range(0, count, 7)):
+            B = G[lo:lo + 1]
+            for g in G[lo + 1:lo + 7]:
+                B = times(g[None], real_form(B))
+            assert same_bits(block, B[0])
 
 
 class TestLyapunovSpectrum:
@@ -249,11 +272,10 @@ class TestLyapunovSpectrum:
             with pytest.raises(Sampled):
                 lyapunov_spectrum(quick(su(8, 8), RepSpec.exterior(8)))
 
-    def test_large_chunk_warns_before_sampling(self, monkeypatch):
-        # a 20,000-step su(30,30) chunk takes 20,000 * (8 * 3599 + 60^2 * 16)
-        # bytes per trial, and its 8 trials' blocks at the retry's interval 5
-        # 8 * 4,000 * 60^2 * 16; so(23,2) (148 MB) and su(8,8) (123 MB) stay
-        # below 2^30
+    def test_one_block_over_the_limit_warns_before_sampling(self, monkeypatch):
+        # a chunk holds at least one renorm block: for su(30,30) at 20,000
+        # trials, 10 * 2 * (8 * 3599 + 60^2 * 16) bytes of sampling buffers
+        # and 20,000 * 60^2 * 16 of folded blocks, 1.15e9 in all
         class Sampled(Exception):
             pass
 
@@ -262,83 +284,48 @@ class TestLyapunovSpectrum:
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
         for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
-            with pytest.warns(RuntimeWarning) as record:
+            with pytest.warns(RuntimeWarning, match="su\\(30,30\\) runs of 20,000 trials "
+                                                    "take 1,153,727,840 bytes per renorm "
+                                                    "block of 10 steps") as record:
                 with pytest.raises(Sampled):
-                    run(SimConfig(form=su(30, 30)))
-            messages = [str(w.message) for w in record]
-            assert len(messages) == 2, messages
-            assert "1,727,840,000 bytes per trial" in messages[0]
-            assert "1,843,200,000 bytes of folded blocks" in messages[1]
+                    run(SimConfig(form=su(30, 30), trials=20_000))
+            assert len(record) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for form in (so_split(23), su(8, 8)):
+            for form in (su(30, 30), su(8, 8)):
                 with pytest.raises(Sampled):
-                    lyapunov_spectrum(SimConfig(form=form))
-
-    def test_held_blocks_warn_before_sampling(self, monkeypatch):
-        # every trial's folded blocks of a chunk are held once, counted at the
-        # retry's interval 5: trials * (20,000 / 5) * 8^2 * 16 bytes for
-        # su(4,4), 1.23e9 at 300 trials
-        class Sampled(Exception):
-            pass
-
-        def sampled(*args):
-            raise Sampled
-
-        monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
-        with pytest.warns(RuntimeWarning, match="1,228,800,000 bytes of folded blocks"):
-            with pytest.raises(Sampled):
-                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=300))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(Sampled):
-                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=100))
-
-    def test_retry_blocks_warn_before_sampling(self, monkeypatch):
-        # su(4,4) at interval 3 holds 60 * 6,667 * 8^2 * 16 = 4.1e8 bytes of
-        # blocks per chunk, but its retry at interval 1 holds 1.23e9
-        class Sampled(Exception):
-            pass
-
-        def sampled(*args):
-            raise Sampled
-
-        monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
-        with pytest.warns(RuntimeWarning, match="1,228,800,000 bytes of folded blocks "
-                                                "per chunk at renorm interval 1"):
-            with pytest.raises(Sampled):
-                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=60,
-                                            renorm_interval=3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(Sampled):
-                lyapunov_spectrum(SimConfig(form=su(4, 4), steps=20_000, trials=50,
-                                            renorm_interval=3))
+                    lyapunov_spectrum(SimConfig(form=form, trials=8))
 
     @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
     def test_chunked_accumulation_adds_block_by_block(self, form, monkeypatch):
         # three chunks, a warmup of 29 blocks and a 5-step tail block: the
-        # per-chunk sums give the bits of a running sum over the blocks
-        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        # per-chunk sums give the bits of a running sum over the blocks of
+        # one unchunked sample per trial
         steps, warmup, interval, trials = 2995, 290, 10, 3
+        chunk_steps(monkeypatch, form, trials, 1000)
+        counts = []
+        real = lz.simulate.sample_group_elements
+
+        def spy(sampler, rng, count):
+            counts.append(count)
+            return real(sampler, rng, count)
+
+        monkeypatch.setattr(lz.simulate, "sample_group_elements", spy)
         sampler = lz.lie_algebra_basis(form, 0.3)
 
         def rngs():
             return [lz.simulate._trial_rng(7, j) for j in range(trials)]
 
         got = lz.simulate._run_lockstep(sampler, steps, warmup, interval, rngs())[0]
+        assert sorted(counts) == [995] * trials + [1000] * (2 * trials)
         Q = np.eye(form.matrix_dim, dtype=sampler.dtype)
         acc = np.zeros((trials, form.matrix_dim))
-        seen = 0
-        streams = rngs()
-        for lo, hi in _block_bounds(steps, interval, 1000):
-            blocks = np.stack([_fold_blocks(lz.sample_group_elements(sampler, rng, hi - lo),
-                                            interval) for rng in streams], axis=1)
-            for B in blocks:
-                Q, R = np.linalg.qr(B @ Q)
-                if seen >= warmup:
-                    acc += np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
-                seen += min(interval, steps - seen)
+        blocks = np.stack([fold(real(sampler, rng, steps), interval) for rng in rngs()],
+                          axis=1)
+        for i, B in enumerate(blocks):
+            Q, R = np.linalg.qr(B @ Q)
+            if i * interval >= warmup:
+                acc += np.log(np.abs(np.diagonal(R, axis1=-2, axis2=-1)))
         assert np.array_equal(got, acc / (steps - warmup))
 
     def test_overflow_reported(self):
@@ -367,7 +354,7 @@ class TestLyapunovSpectrum:
     def test_trials_run_independently(self, rep, monkeypatch):
         # trial j's stream and arithmetic do not depend on the other trials;
         # short chunks make streams shared across trials show
-        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        chunk_steps(monkeypatch, su(3, 1), 3, 1000)
         two = lyapunov_spectrum(quick(su(3, 1), rep, steps=3000, trials=2))
         three = lyapunov_spectrum(quick(su(3, 1), rep, steps=3000, trials=3))
         for a, b in zip(two.trial_exponents, three.trial_exponents[:2]):
@@ -382,8 +369,8 @@ class TestLyapunovSpectrum:
     def test_chunk_size_does_not_change_the_bits(self, form, rep, monkeypatch):
         # one chunk of 10,000 steps and ten of 1,000 give the same run
         runs = []
-        for chunk in (20_000, 1000):
-            monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", chunk)
+        for chunk in (10_000, 1000):
+            chunk_steps(monkeypatch, form, 8, chunk)
             result = lyapunov_spectrum(quick(form, rep, steps=10_000, trials=8))
             record = result.as_record()
             record.pop("elapsed_seconds")
@@ -430,7 +417,7 @@ def frames_and_blocks(form, trials=8, count=200, interval=10, seed=11):
     every trial, (count / interval, trials, d, d)."""
     sampler = lz.lie_algebra_basis(form)
     rng = np.random.default_rng(seed)
-    blocks = np.stack([_fold_blocks(lz.sample_group_elements(sampler, rng, count), interval)
+    blocks = np.stack([fold(lz.sample_group_elements(sampler, rng, count), interval)
                        for _ in range(trials)], axis=1)
     Q = np.linalg.qr(lz.sample_group_elements(sampler, rng, trials))[0]
     return Q, blocks
@@ -516,7 +503,7 @@ class TestQrStep:
                                         (su(3, 1), 2)], ids=label)
     def test_lockstep_bits_without_the_kernels(self, form, k, monkeypatch):
         # np.linalg.qr's path, the only one on numpy 1.x, gives the same bits
-        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)   # two chunks
+        chunk_steps(monkeypatch, form, 3, 1000)   # two chunks
         sampler = lz.lie_algebra_basis(form)
         rep = partial(lz.simulate._direct_sum, k=k) if k else None
         runs = []
@@ -554,7 +541,7 @@ class TestTrialThreads:
 
     @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
     def test_thread_count_does_not_change_the_bits(self, form, monkeypatch, pools):
-        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)   # three chunks
+        chunk_steps(monkeypatch, form, 3, 1000)   # three chunks
         runs = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
@@ -567,7 +554,7 @@ class TestTrialThreads:
     def test_threads_write_their_own_trials_of_the_shared_blocks(self, monkeypatch):
         # every trial folds into its column of one chunk array; eight threads
         # switching every microsecond must give the serial run's bits
-        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        chunk_steps(monkeypatch, su(3, 1), 8, 1000)
         cfg = quick(su(3, 1), steps=3000, trials=8)
         usable_cpus(monkeypatch, 1)
         serial = self.bits(lyapunov_spectrum(cfg))
@@ -621,6 +608,38 @@ class TestTrialThreads:
             lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2, scale=5.0))
         assert threading.active_count() == baseline
         assert pools == [2] * 4
+
+
+def traced_peak(config):
+    """Peak bytes that tracemalloc sees during lyapunov_spectrum(config)."""
+    tracemalloc.start()
+    try:
+        lyapunov_spectrum(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    def test_peak_stays_within_two_chunk_budgets(self):
+        # su(8,8) at 6,000 steps x 2 trials samples three chunks of 2,560
+        # steps or fewer; one 6,000-step chunk would peak near 80 MB
+        peak = traced_peak(SimConfig(form=su(8, 8), steps=6000, trials=2))
+        assert peak <= 2 * lz.simulate._CHUNK_BYTES
+
+    def test_several_chunks_peak_no_higher_than_one(self, monkeypatch):
+        # the block array, 600 KB here, is held once per run, and each chunk
+        # fills a prefix of it. Only the trials' frames, which a one-chunk
+        # run has not formed while it samples, and a few KB of small
+        # objects come on top. One CPU samples the trials one by one, so the
+        # peaks do not hang on thread timing.
+        usable_cpus(monkeypatch, 1)
+        form, trials = su(4, 4), 12
+        chunk_steps(monkeypatch, form, trials, 500)
+        one, several = (traced_peak(quick(form, steps=steps, trials=trials))
+                        for steps in (500, 1500))
+        frames = trials * form.matrix_dim ** 2 * 16
+        assert several <= one + frames + 2 ** 15
 
 
 class TestEstimateLyapunovVector:
@@ -735,7 +754,7 @@ class TestExteriorConsistency:
     def test_samples_each_chunk_once(self, monkeypatch):
         # one run of g + Lambda^k g: the standard and compound summands share
         # every sample, so each trial draws each of its chunks once
-        monkeypatch.setattr(lz.simulate, "_CHUNK_TARGET", 1000)
+        chunk_steps(monkeypatch, su(3, 1), 3, 1000)
         calls = []
         real = lz.simulate.sample_group_elements
 
