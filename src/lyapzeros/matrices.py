@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -34,6 +34,11 @@ from .errors import InternalError, NumericalError, ParameterError
 from .realforms import Family, RealFormSpec
 
 _RELATION_TOL = 1e-12
+# a run's table holds up to _TABLE_PAIRS steps and their inverses, and at
+# most _TABLE_BYTES of them, half a sampling chunk's budget: all 256 pairs
+# up to complex d = 45 and real d = 64, 13 pairs for su(100,100)
+_TABLE_PAIRS = 256
+_TABLE_BYTES = 2 ** 24
 
 
 def _su_elements(p: int, q: int) -> list:
@@ -116,11 +121,13 @@ def _index_tables(elements: list, d: int, is_complex: bool):
 class GroupSampler:
     """Matrix realization of a real form plus its random-walk step law.
 
-    A step is the scaled Cayley step of X = sum c_i B_i (``_expm.cayley_in_place``),
-    close to exp(X), with i.i.d. gaussian coefficients c_i of standard
-    deviation ``scale``; X is gathered from them through the index tables of
-    the basis (``_index_tables``). ``forms`` maps "hermitian", "symmetric"
-    or "symplectic" to the invariant forms the group preserves.
+    Without a ``table``, a step is the scaled Cayley step of X = sum c_i B_i
+    (``_expm.cayley_in_place``), close to exp(X), with i.i.d. gaussian
+    coefficients c_i of standard deviation ``scale``; X is gathered from
+    them through the index tables of the basis (``_index_tables``). With
+    one (``step_table``), a step is a uniform draw from its rows. ``forms``
+    maps "hermitian", "symmetric" or "symplectic" to the invariant forms
+    the group preserves.
     """
 
     form: RealFormSpec
@@ -128,6 +135,7 @@ class GroupSampler:
     sign: np.ndarray
     scale: float
     forms: dict[str, np.ndarray]
+    table: np.ndarray | None = None
 
     @property
     def matrix_dim(self) -> int:
@@ -203,17 +211,21 @@ def lie_algebra_basis(form: RealFormSpec, scale: float = 0.3) -> GroupSampler:
 
 def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
                           count: int) -> np.ndarray:
-    """Draw ``count`` random group elements, the scaled Cayley steps
-    cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~ N(0, scale^2), with s
-    set by each draw's own 1-norm. Each element is a function of its own
-    coefficients, so the first m of ``count`` draws are the m draws of a
-    fresh generator on the same seed, bit for bit. A coordinate of X is a
-    sum of at most two terms +-c_i, in any order the same, so the gathered X
-    equals np.tensordot's against ``basis`` up to the sign of a zero, which
-    I +- X / 2^(s+1) in the Cayley step erases. The coefficients are scaled
-    in place and dropped once X is gathered, and X is stepped in place
-    (``_expm.cayley_in_place``), so the draws hold
-    count * (8 algebra_dim + d^2 itemsize) bytes, plus one slice's workspace."""
+    """Draw ``count`` random group elements. With a table, each is the row
+    of one index draw ``rng.integers(0, len(table))``. Without one, each is
+    the scaled Cayley step cay(X / 2^(s+1))^(2^s) of X = sum c_i B_i, c_i ~
+    N(0, scale^2), with s set by the draw's own 1-norm. Either way each
+    element is a function of its own draw, so the first m of ``count``
+    draws are the m draws of a fresh generator on the same seed, bit for
+    bit. A coordinate of X is a sum of at most two terms +-c_i, in any
+    order the same, so the gathered X equals np.tensordot's against
+    ``basis`` up to the sign of a zero, which I +- X / 2^(s+1) in the
+    Cayley step erases. The coefficients are scaled in place and dropped
+    once X is gathered, and X is stepped in place (``_expm.cayley_in_place``),
+    so the Cayley draws hold count * (8 algebra_dim + d^2 itemsize) bytes,
+    plus one slice's workspace."""
+    if sampler.table is not None:
+        return sampler.table[rng.integers(0, len(sampler.table), count)]
     coeffs = rng.standard_normal((count, sampler.form.algebra_dim))
     coeffs *= sampler.scale
     X = _combine(sampler, coeffs)
@@ -223,6 +235,25 @@ def sample_group_elements(sampler: GroupSampler, rng: np.random.Generator,
         raise NumericalError("group element overflowed",
                              {"form": sampler.form.label(), "scale": sampler.scale})
     return G
+
+
+def step_table(sampler: GroupSampler, rng: np.random.Generator) -> GroupSampler:
+    """``sampler`` with the table law: m Cayley steps g_i of ``rng``, then
+    their inverses, rows m + i. m is ``_TABLE_PAIRS``, or as many pairs as
+    fit in ``_TABLE_BYTES``, and at least one. The law is symmetric, and
+    for m >= 2 generic steps generate a Zariski-dense subgroup. Each inverse
+    is read off the group's first form F, g^dag F g = F (g^T for a
+    bilinear F), as g^-1 = F^-1 g^dag F: F is a signed permutation, F[r_j,
+    j] = w_j, so that is the gather w_i w_j g^dag[r_i, r_j], exact to the
+    bit, and its error is g's form error."""
+    matrix = sampler.matrix_dim ** 2 * sampler.dtype.itemsize
+    m = max(1, min(_TABLE_PAIRS, _TABLE_BYTES // (2 * matrix)))
+    G = sample_group_elements(sampler, rng, m)
+    name, F = next(iter(sampler.forms.items()))
+    r, w = _signed_permutation(F.T)
+    Gt = np.swapaxes(G, -1, -2)
+    star = np.conj(Gt) if name == "hermitian" else Gt
+    return replace(sampler, table=np.concatenate([G, star[:, r[:, None], r] * np.outer(w, w)]))
 
 
 def _signed_permutation(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,22 @@
 """Lyapunov spectrum estimation for random cocycles and verdicts against
 spectrum predictions.
 
-The cocycle is an i.i.d. product of group elements, the scaled Cayley
-steps of X = sum c_i B_i with gaussian coefficients (close to exp(X); see
-``_expm``). Exponents are estimated per trial by the QR (Benettin) scheme:
-the orthonormal frame is multiplied by blocks of ``renorm_interval`` steps
-and re-orthonormalized, accumulating log |diag R|. Trials use independent,
-reproducible streams derived from (master_seed, trial index) via numpy's
-SeedSequence, so identical configurations give bit-identical results. The
-trials advance in lockstep, one stacked QR per block over all trials,
-without mixing their arithmetic; their sampling runs on up to two
-threads, which changes no trial's bits. BLAS thread settings are never
-touched.
+The cocycle is an i.i.d. product of group elements drawn uniformly from
+one table per run (``matrices.step_table``): m scaled Cayley steps of X =
+sum c_i B_i with gaussian coefficients (close to exp(X); see ``_expm``),
+and their inverses. A law of finite support whose steps generate a
+Zariski-dense subgroup has a regular Lyapunov vector (Gol'dsheid &
+Margulis, Russian Math. Surveys 44 (1989); Guivarc'h & Raugi, Israel J.
+Math. 65 (1989)), so its only zero exponents are the forced ones.
+Exponents are estimated per trial by the QR (Benettin) scheme: the
+orthonormal frame is multiplied by blocks of ``renorm_interval`` steps
+and re-orthonormalized, accumulating log |diag R|. The table and the
+trials use independent, reproducible streams derived from master_seed
+via numpy's SeedSequence, so identical configurations give bit-identical
+results. The trials advance in lockstep, one stacked QR per block over
+all trials, without mixing their arithmetic; their sampling runs on up
+to two threads, which changes no trial's bits. BLAS thread settings are
+never touched.
 A spectrum run simulates the standard cocycle only: the exponents of its
 k-th exterior power are the k-subset sums of the standard ones
 (multiplicative ergodic theorem for exterior powers), formed trial by
@@ -36,6 +41,7 @@ import numpy as np
 
 from ._expm import real_form, times
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
+from .matrices import step_table
 from .prediction import LyapunovVector, SpectrumPrediction
 from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
                         _check_coherent, _warn_size, exterior_power_matrix,
@@ -198,14 +204,20 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial])
 
 
+def _table_rng(master_seed: int) -> np.random.Generator:
+    # documented stream contract: the table's stream is the first child of
+    # SeedSequence(master_seed). Not default_rng(master_seed): that draws
+    # what default_rng([master_seed, 0]), trial 0's stream, draws
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
+
+
 def _block_bytes(sampler: GroupSampler, interval: int, trials: int) -> int:
     """Bytes that one renorm block of ``interval`` steps costs a chunk: the
-    coefficients and X of each sampling thread, counted at the thread cap
-    min(2, trials) and not at the CPUs, so that chunk lengths do not depend
-    on the machine, plus every trial's folded block."""
+    index draws and gathered steps of each sampling thread, counted at the
+    thread cap min(2, trials) and not at the CPUs, so that chunk lengths do
+    not depend on the machine, plus every trial's folded block."""
     matrix = sampler.matrix_dim ** 2 * sampler.dtype.itemsize
-    return (interval * min(2, trials) * (8 * sampler.form.algebra_dim + matrix)
-            + trials * matrix)
+    return interval * min(2, trials) * (8 + matrix) + trials * matrix
 
 
 def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> np.ndarray:
@@ -228,15 +240,15 @@ def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:
 
 
 def _sample_trial(sampler: GroupSampler, interval: int, count: int,
-                  rng: np.random.Generator, out: np.ndarray):
+                  rng: np.random.Generator, out: np.ndarray) -> float:
     """One trial's chunk of ``count`` steps, folded into its blocks of
-    ``interval`` steps in ``out``: (max sample, max block form error)."""
-    G = sample_group_elements(sampler, rng, count)
-    sample_err = _max_form_error(sampler, G)
-    _fold_blocks(G, interval, out)
+    ``interval`` steps in ``out``: the blocks' max form error. A product
+    that leaves the floats raises _CocycleOverflow, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fold_blocks(sample_group_elements(sampler, rng, count), interval, out)
     if not np.isfinite(out).all():
         raise _CocycleOverflow("block product overflow")
-    return sample_err, _max_form_error(sampler, out)
+    return _max_form_error(sampler, out)
 
 
 def _numpy_qr_kernels():
@@ -298,12 +310,13 @@ def _worker_count(trials: int) -> int:
 
 def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
                   rngs: list[np.random.Generator], rep=None):
-    """QR scheme for all trials at once, trial j drawing from ``rngs[j]``.
+    """QR scheme for all trials at once, trial j drawing from ``rngs[j]``:
+    (per-trial exponents, max block form error).
 
     The steps are sampled in chunks of as many whole renorm blocks as fit
     in ``_CHUNK_BYTES`` at ``_block_bytes`` each, and at least one. Each
     step is a function of its own draw, so the chunk length bounds memory
-    and moves no bit. Each chunk, every trial samples, checks and folds its
+    and moves no bit. Each chunk, every trial samples, folds and checks its
     own blocks (``_sample_trial``) into its column of a prefix of one
     (blocks, trials, d, d) array, allocated once per call, on one of
     min(2, usable CPUs, trials) threads, which live for this call only;
@@ -321,7 +334,6 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     eye = rep(np.eye(d, dtype=sampler.dtype))
     Q = np.broadcast_to(eye, (trials,) + eye.shape)
     acc = np.zeros(Q.shape[:-1])
-    max_sample_err = 0.0
     max_block_err = 0.0
     chunk = max(1, _CHUNK_BYTES // _block_bytes(sampler, interval, trials)) * interval
     held = np.empty((-(-min(chunk, steps) // interval), trials, d, d), sampler.dtype)
@@ -340,9 +352,7 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
             blocks = held[:-(-count // interval)]
             trial = partial(_sample_trial, sampler, interval, count)
             errs = (pool.map if pool else map)(trial, rngs, np.swapaxes(blocks, 0, 1))
-            sample_errs, block_errs = zip(*errs)
-            max_sample_err = max(max_sample_err, *sample_errs)
-            max_block_err = max(max_block_err, *block_errs)
+            max_block_err = max(max_block_err, *errs)
             nblocks = len(blocks)
             for i, B in enumerate(blocks):    # one block of every trial
                 Q = _qr_step(rep(B), Q, logs[i + 1])
@@ -358,7 +368,7 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return acc / (steps - warmup), max_sample_err, max_block_err
+    return acc / (steps - warmup), max_block_err
 
 
 def _sum_rule_violation(per_trial: np.ndarray, interval: int) -> NumericalError | None:
@@ -376,20 +386,24 @@ def _sum_rule_violation(per_trial: np.ndarray, interval: int) -> NumericalError 
 
 
 def _run_with_retry(config: SimConfig, rep=None):
-    """(per-trial exponents, max sample and block form errors, renorm
-    interval used). A cocycle overflow or a violated sum rule is retried
-    once at half the renorm interval, since shorter blocks are better
-    conditioned; a second failure raises NumericalError. The sum rule holds
-    for the first matrix_dim columns and for the rest, if ``rep`` adds any.
-    A chunk holds at least one renorm block, so a run whose block at the
-    configured interval (``_block_bytes``) exceeds ``_CHUNK_MEMORY_LIMIT``
-    warns first; the retry's half interval costs less."""
+    """(per-trial exponents, max table and block form errors, renorm
+    interval used). The run's one table of steps (``matrices.step_table``)
+    comes from ``_table_rng`` and is form-checked once. A cocycle overflow
+    or a violated sum rule is retried once at half the renorm interval, on
+    the same table, since shorter blocks are better conditioned; a second
+    failure raises NumericalError. The sum rule holds for the first
+    matrix_dim columns and for the rest, if ``rep`` adds any. A chunk holds
+    at least one renorm block, so a run whose block at the configured
+    interval (``_block_bytes``) exceeds ``_CHUNK_MEMORY_LIMIT`` warns before
+    the table is built; the retry's half interval costs less."""
     form, d = config.form, config.form.matrix_dim
     sampler = lie_algebra_basis(form, config.scale)
     nbytes = _block_bytes(sampler, config.renorm_interval, config.trials)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} runs of {config.trials:,} trials take {nbytes:,} bytes per "
         f"renorm block of {config.renorm_interval} steps"))
+    sampler = step_table(sampler, _table_rng(config.master_seed))
+    table_err = _max_form_error(sampler, sampler.table)
     for interval in (config.renorm_interval, config.renorm_interval // 2):
         if interval == 0:   # renorm_interval 1 has no half
             break
@@ -404,7 +418,7 @@ def _run_with_retry(config: SimConfig, rep=None):
         failure = (_sum_rule_violation(out[0][:, :d], interval)
                    or _sum_rule_violation(out[0][:, d:], interval))
         if failure is None:
-            return out + (interval,)
+            return out[0], table_err, out[1], interval
     raise failure
 
 
@@ -471,7 +485,12 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
     real_stderr = _realify(stderr, factor)
     trial_rows = tuple(_floats(_realify(row[order], factor)) for row in per_trial)
     if config.trials >= 2:
-        cluster = classify_zero_cluster(real_means, real_stderr, config.zero_threshold)
+        # the projection shifts every mean by the trials' mean sum over the
+        # dimension, which no stderr sees: on larger forms it exceeds the
+        # 1e-12 floor that exact zeros (about 1e-15) are read under, so the
+        # zero band is read off the unprojected means
+        raw_means = _realify(per_trial.mean(axis=0)[order], factor)
+        cluster = classify_zero_cluster(raw_means, real_stderr, config.zero_threshold)
     else:
         cluster = ZeroCluster("inconclusive", "one trial gives no error bar")
 

@@ -177,67 +177,77 @@ def test_single_matrix_matches_scipy():
     _within_third_order_of_expm(X)
 
 
-# Gauss-Jordan is checked up to d = 11 for both dtypes, above the complex
-# cutoff too: so(9,2) and su(10,1)
-CUTOFF_FORMS = [so_split(9), su(10, 1)]
-ALL_GAUSS_JORDAN = {"f": 11, "c": 11}
+def _gauss_jordan_steps(X):
+    """The scaled Cayley steps of the stack X (n, d, d) by an independent
+    solve: batch-last Gauss-Jordan elimination without pivoting on M =
+    [I - H | I + H], laid out (d, 2d, n), for H_i = X_i / 2^(s_i+1); then
+    s_i squarings. Column diagonal dominance makes pivoting needless."""
+    n, d = X.shape[0], X.shape[-1]
+    s = _squarings(X)
+    scale = np.ldexp(1.0, -1 - s)
+    Xt = X.transpose(1, 2, 0)
+    M = np.empty((d, 2 * d, n), X.dtype)
+    np.multiply(Xt, -scale, out=M[:, :d])
+    np.multiply(Xt, scale, out=M[:, d:])
+    diag = np.arange(d)
+    M[diag, diag] += 1
+    M[diag, d + diag] += 1
+    for k in range(d):
+        row = M[k, k + 1:]
+        row *= 1 / M[k, k]
+        M[:k, k + 1:] -= M[:k, k, None] * row
+        M[k + 1:, k + 1:] -= M[k + 1:, k, None] * row
+    R = np.ascontiguousarray(M[:, d:].transpose(2, 0, 1))
+    for k in range(s.max()):
+        sq = s > k
+        R[sq] = times(R[sq], real_form(R[sq]))
+    return R
 
 
-@pytest.mark.parametrize("form", BENCH_FORMS + CUTOFF_FORMS, ids=lambda f: f.label())
+# the Gauss-Jordan reference is checked up to d = 11 for both dtypes: so(9,2)
+# and su(10,1)
+LARGER_FORMS = [so_split(9), su(10, 1)]
+
+
+@pytest.mark.parametrize("form", BENCH_FORMS + LARGER_FORMS, ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
-def test_gauss_jordan_agrees_with_lapack(form, scale, monkeypatch):
+def test_gauss_jordan_agrees_with_lapack(form, scale):
     X = _samples(form, scale, 1200, seed=2)
-    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", ALL_GAUSS_JORDAN)
-    g = cayley_in_place(X.copy())
-    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", {"f": 0, "c": 0})
+    g = _gauss_jordan_steps(X)
     want = cayley_in_place(X)
     bound = 1e-14 * max(1.0, float(np.abs(want).max())) ** 2
     assert np.abs(g - want).max() <= bound
 
 
-@pytest.mark.parametrize("form", BENCH_FORMS + CUTOFF_FORMS, ids=lambda f: f.label())
+@pytest.mark.parametrize("form", BENCH_FORMS + LARGER_FORMS, ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3, 5.0])
 def test_scaled_batches_are_column_diagonally_dominant(form, scale, monkeypatch):
-    # the Gauss-Jordan solve does not pivot: |1 - h_jj| > sum_{i != j} |h_ij|
-    # for every column j of every matrix it receives
+    # |1 - h_jj| > sum_{i != j} |h_ij| for every column j of every I - H the
+    # solve receives, so ||(I - H)^-1||_1 <= 2 and no solve is ill-conditioned
     seen = []
-    real = _expm._solve_gauss_jordan
+    real = np.linalg.solve
 
-    def spy(X, scale):
-        seen.append(X * scale[:, None, None])
-        return real(X, scale)
+    def spy(a, b):
+        seen.append(a.copy())
+        return real(a, b)
 
-    monkeypatch.setattr(_expm, "_solve_gauss_jordan", spy)
-    monkeypatch.setattr(_expm, "_GAUSS_JORDAN_MAX_DIM", ALL_GAUSS_JORDAN)
+    monkeypatch.setattr(np.linalg, "solve", spy)
     X = _samples(form, scale, 1200, seed=3)
     monkeypatch.setattr(_expm, "_BLOCK_BYTES", 512 * X[0].nbytes)
     cayley_in_place(X)
     assert len(seen) == 3       # slices of 512, 512 and 176 matrices
-    for H in seen:
-        diag = np.diagonal(H, axis1=-2, axis2=-1)
-        off = np.abs(H).sum(axis=-2) - np.abs(diag)
-        assert (np.abs(1 - diag) > off).all()
-
-
-@pytest.mark.parametrize("form,gauss_jordan", [
-    (so_split(9), True), (su(4, 4), True), (su(8, 1), False), (su(5, 5), False),
-], ids=lambda x: x.label() if hasattr(x, "label") else str(x))
-def test_solve_follows_the_cutoff_of_its_dtype(form, gauss_jordan, monkeypatch):
-    # real d = 11 and complex d = 8 keep Gauss-Jordan; complex d = 9 and 10
-    # take LAPACK's solve
-    calls = []
-    real = _expm._solve_gauss_jordan
-    monkeypatch.setattr(_expm, "_solve_gauss_jordan", lambda *args: calls.append(1) or real(*args))
-    cayley_in_place(_samples(form, 0.3, 10, seed=9))
-    assert bool(calls) == gauss_jordan
+    for A in seen:
+        diag = np.diagonal(A, axis1=-2, axis2=-1)
+        off = np.abs(A).sum(axis=-2) - np.abs(diag)
+        assert (np.abs(diag) > off).all()
 
 
 @pytest.mark.parametrize("form", [so_split(10), su(6, 6), su(8, 1), su(5, 5)],
                          ids=lambda f: f.label())
 @pytest.mark.parametrize("scale", [0.05, 0.3])
 def test_above_the_cutoff_keeps_the_lapack_solve(form, scale):
-    dtype = complex if form.is_complex_family else float
-    assert form.matrix_dim > _expm._GAUSS_JORDAN_MAX_DIM[np.dtype(dtype).kind]
+    # these forms, above 0.5.0's Gauss-Jordan cutoff (real d = 11, complex
+    # d = 8), keep the steps they had: LAPACK's solve, then s squarings
     X = _samples(form, scale, 600, seed=4)
     s = _squarings(X)
     eye = np.eye(form.matrix_dim)

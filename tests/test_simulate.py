@@ -274,8 +274,8 @@ class TestLyapunovSpectrum:
 
     def test_one_block_over_the_limit_warns_before_sampling(self, monkeypatch):
         # a chunk holds at least one renorm block: for su(30,30) at 20,000
-        # trials, 10 * 2 * (8 * 3599 + 60^2 * 16) bytes of sampling buffers
-        # and 20,000 * 60^2 * 16 of folded blocks, 1.15e9 in all
+        # trials, 10 * 2 * (8 + 60^2 * 16) bytes of index draws and gathered
+        # steps and 20,000 * 60^2 * 16 of folded blocks, 1.15e9 in all
         class Sampled(Exception):
             pass
 
@@ -285,7 +285,7 @@ class TestLyapunovSpectrum:
         monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
         for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
             with pytest.warns(RuntimeWarning, match="su\\(30,30\\) runs of 20,000 trials "
-                                                    "take 1,153,727,840 bytes per renorm "
+                                                    "take 1,153,152,160 bytes per renorm "
                                                     "block of 10 steps") as record:
                 with pytest.raises(Sampled):
                     run(SimConfig(form=su(30, 30), trials=20_000))
@@ -332,6 +332,15 @@ class TestLyapunovSpectrum:
         with pytest.raises(NumericalError):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=1,
                                         scale=700.0, renorm_interval=1))
+
+    def test_block_overflow_is_a_numerical_error_without_warnings(self):
+        # sp(1) steps at scale 100 reach about 1e43: blocks of 20 and then 10
+        # leave the floats, and the fold's overflow is not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cocycle overflow at renorm_interval 10"):
+                lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=2,
+                                            scale=100.0, renorm_interval=20))
 
     def test_overflow_retry_halves_interval(self, monkeypatch):
         calls = []
@@ -598,16 +607,22 @@ class TestTrialThreads:
         baseline = threading.active_count()
         lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2))
         assert threading.active_count() == baseline
-        # an element overflows in a worker (test_overflow_reported's data)
+        # an element overflows while the table is built, before any thread
+        # starts (test_overflow_reported's data)
         with pytest.raises(NumericalError, match="overflowed"):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=2,
                                         scale=700.0, renorm_interval=1))
+        assert threading.active_count() == baseline
+        # a block product overflows in a worker, at interval 20 and at 10
+        with pytest.raises(NumericalError, match="cocycle overflow"):
+            lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=2,
+                                        scale=100.0, renorm_interval=20))
         assert threading.active_count() == baseline
         # a degenerate QR factor, a retry at half the interval, then the sum rule
         with pytest.raises(NumericalError, match="sum rule"):
             lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2, scale=5.0))
         assert threading.active_count() == baseline
-        assert pools == [2] * 4
+        assert pools == [2] * 5
 
 
 def traced_peak(config):
@@ -618,6 +633,78 @@ def traced_peak(config):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestStepTable:
+    @staticmethod
+    def run_table(monkeypatch, cfg):
+        """The table sampler that lyapunov_spectrum(cfg) builds, and its result."""
+        built = []
+        real = lz.simulate.step_table
+
+        def spy(sampler, rng):
+            built.append(real(sampler, rng))
+            return built[-1]
+
+        monkeypatch.setattr(lz.simulate, "step_table", spy)
+        result = lyapunov_spectrum(cfg)
+        monkeypatch.undo()
+        assert len(built) == 1
+        return built[0], result
+
+    def test_table_stream_is_the_first_child_of_the_master_seed(self, monkeypatch):
+        # SeedSequence(42).spawn(1)[0] has spawn_key (0,); default_rng(42)
+        # draws what default_rng([42, 0]), trial 0's stream, draws
+        table, _ = self.run_table(monkeypatch, quick(su(2, 1), steps=200, trials=2))
+        sampler = lz.lie_algebra_basis(su(2, 1))
+        child = np.random.SeedSequence(42).spawn(1)[0]
+        assert child.spawn_key == (0,)
+        want = lz.matrices.step_table(sampler, np.random.default_rng(child)).table
+        assert same_bits(table.table, want)
+        for seed in (42, [42], [42, 0]):
+            other = lz.matrices.step_table(sampler, np.random.default_rng(seed)).table
+            assert not np.array_equal(other, want)
+
+    @pytest.mark.parametrize("form", [su(2, 1), su(3, 1), so_star(3), sp(2), so_split(5),
+                                      su(5, 1)], ids=lambda f: f.label())
+    def test_rows_m_on_are_the_inverses(self, form):
+        sampler = lz.matrices.step_table(lz.lie_algebra_basis(form), np.random.default_rng(3))
+        m = lz.matrices._TABLE_PAIRS
+        assert sampler.table.shape == (2 * m,) + (form.matrix_dim,) * 2
+        eye = np.eye(form.matrix_dim)
+        assert np.abs(sampler.table[m:] @ sampler.table[:m] - eye).max() < 1e-13
+        assert np.abs(sampler.table[:m] @ sampler.table[m:] - eye).max() < 1e-13
+
+    @pytest.mark.parametrize("pairs", [10, 1, 0], ids=["10", "1", "under-one"])
+    def test_byte_cap_sizes_the_table(self, pairs, monkeypatch):
+        # m = min(256, _TABLE_BYTES // (2 d^2 itemsize)), and at least one
+        sampler = lz.lie_algebra_basis(su(3, 1))
+        monkeypatch.setattr(lz.matrices, "_TABLE_BYTES", pairs * 2 * 16 * 16 + 100)
+        table = lz.matrices.step_table(sampler, np.random.default_rng(0)).table
+        assert len(table) == 2 * max(1, pairs)
+
+    def test_a_step_is_one_index_draw(self):
+        sampler = lz.matrices.step_table(lz.lie_algebra_basis(sp(2)), np.random.default_rng(0))
+        got = lz.sample_group_elements(sampler, np.random.default_rng(9), 1001)
+        idx = np.random.default_rng(9).integers(0, 2 * lz.matrices._TABLE_PAIRS, 1001)
+        assert same_bits(got, sampler.table[idx])
+
+    def test_sample_form_error_is_the_tables(self, monkeypatch):
+        sampler, result = self.run_table(monkeypatch, quick(so_star(3), steps=2000, trials=2))
+        want = lz.simulate._max_form_error(sampler, sampler.table)
+        assert result.max_sample_form_error == want and 0 < want < 1e-13
+
+    @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
+    def test_odd_chunks_do_not_change_the_bits(self, form, monkeypatch):
+        # at renorm 5 a chunk of 201 blocks draws an odd count of indices;
+        # numpy keeps the unused half of the last 64-bit word for the next
+        # chunk's first draw, as one unchunked draw would use it
+        runs = []
+        for chunk in (3000, 1005):
+            chunk_steps(monkeypatch, form, 3, chunk, interval=5)
+            result = lyapunov_spectrum(quick(form, steps=3000, trials=3, renorm_interval=5))
+            runs.append(np.array(result.trial_exponents))
+        assert same_bits(runs[0], runs[1])
 
 
 class TestChunkMemory:
@@ -667,6 +754,24 @@ class TestVerifyPrediction:
         assert report.verdict == "match"
         assert report.result.verdict == "match"
         assert report.lambda_hat is not None
+
+    @pytest.mark.parametrize("form,steps,interval,seed,zeros", [
+        (su(12, 4), 3000, 10, 1, 16), (so_star(9), 2000, 10, 1, 4), (su(3, 1), 5000, 25, 2, 4),
+    ], ids=["su(12,4)", "so*(18)", "su(3,1)-renorm-25"])
+    def test_zero_band_is_read_off_the_unprojected_means(self, form, steps, interval, seed,
+                                                         zeros):
+        # the sum-zero projection shifts every mean alike, here by more than
+        # the 1e-12 floor that exact zeros are read under; classified on the
+        # projected means, each run said "zero cluster size 0"
+        cfg = quick(form, steps=steps, trials=8, master_seed=seed, renorm_interval=interval)
+        report = verify_prediction(cfg, predict(form, cfg.rep))
+        assert report.verdict == "match", report.details
+        cluster = report.result.zero_cluster
+        assert cluster.size == zeros
+        band = report.result.exponents[cluster.start:cluster.stop]
+        raw = np.array(report.result.trial_exponents).mean(axis=0)[cluster.start:cluster.stop]
+        shift = abs(band[0] - raw[0])
+        assert shift > 1e-12 and np.abs(raw).max() < 1e-12
 
     def test_negative_control(self):
         cfg = quick(su(2, 1))

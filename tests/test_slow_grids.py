@@ -6,7 +6,7 @@ import json
 import pytest
 
 import lyapzeros as lz
-from lyapzeros import RepSpec, predict, so_star, sp, su
+from lyapzeros import RepSpec, predict, so_split, so_star, sp, su
 from lyapzeros.cli import _admissible_rows, main
 
 
@@ -84,6 +84,24 @@ def test_benchmark_size_verdicts(form_label, rep_label, seed):
     assert code == 0 and payload["verdict"] == "match", payload["details"]
     assert abs(sum(exps)) <= 1e-9 * max(exps)
     assert payload["result"]["max_sample_form_error"] < 1e-10
+
+
+def _forms_up_to(d):
+    """Every form of matrix dimension d or less, in each family."""
+    forms = [su(t - q, q) for t in range(2, d + 1) for q in range(1, t // 2 + 1)]
+    forms += [so_split(m) for m in range(3, d - 1)]
+    return forms + [so_star(n) for n in range(2, d // 2 + 1)] + [sp(g) for g in range(1, d // 2 + 1)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("form", _forms_up_to(18), ids=lambda f: f.label())
+def test_verify_matches_up_to_dimension_18(form, seed):
+    # the zero band of the larger forms sits under the 1e-12 floor only
+    # before the means are projected onto sum 0
+    cfg = lz.SimConfig(form=form, steps=3000, trials=8, master_seed=seed)
+    report = lz.verify_prediction(cfg, predict(form, RepSpec.standard()))
+    assert report.verdict == "match", (form.label(), seed, report.details)
 
 
 @pytest.mark.slow
