@@ -69,7 +69,8 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default: ${SEED_ENV_VAR} or 42)")
     p.add_argument("--scale", type=float, default=0.3)
-    p.add_argument("--renorm", type=int, default=10)
+    p.add_argument("--renorm", type=int, default=None,
+                   help="renorm interval, 1..50 (default: derived from the step table)")
 
 
 def _parse_form(args) -> RealFormSpec:

@@ -145,6 +145,12 @@ class GroupSampler:
     def dtype(self) -> np.dtype:
         return np.dtype(complex if self.form.is_complex_family else float)
 
+    @functools.cached_property
+    def gathers(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """(r, w) of each form F, F[r_j, j] = w_j: g^dag F is the signed
+        column gather w_j g^dag[:, r_j]. Computed once per sampler."""
+        return {name: _signed_permutation(F.T) for name, F in self.forms.items()}
+
     @property
     def basis(self) -> np.ndarray:
         """The dense (algebra_dim, d, d) basis the tables stand for, about
@@ -249,8 +255,8 @@ def step_table(sampler: GroupSampler, rng: np.random.Generator) -> GroupSampler:
     matrix = sampler.matrix_dim ** 2 * sampler.dtype.itemsize
     m = max(1, min(_TABLE_PAIRS, _TABLE_BYTES // (2 * matrix)))
     G = sample_group_elements(sampler, rng, m)
-    name, F = next(iter(sampler.forms.items()))
-    r, w = _signed_permutation(F.T)
+    name = next(iter(sampler.forms))
+    r, w = sampler.gathers[name]
     Gt = np.swapaxes(G, -1, -2)
     star = np.conj(Gt) if name == "hermitian" else Gt
     return replace(sampler, table=np.concatenate([G, star[:, r[:, None], r] * np.outer(w, w)]))
@@ -267,28 +273,36 @@ def _signed_permutation(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, F[np.arange(len(F)), c]
 
 
-def form_preservation_errors(sampler: GroupSampler, g: np.ndarray) -> dict[str, float]:
-    """Relative errors of the declared invariant forms under g (batched ok).
+def form_preservation_errors(sampler: GroupSampler, g: np.ndarray,
+                             relative: bool = False) -> dict[str, float]:
+    """Errors of the declared invariant forms under g (batched ok).
 
     hermitian: ||g^dag H g - H|| / ||H||; bilinear forms use g^T. Every form
     is a signed permutation, F[r_j, j] = w_j, so ||F|| = 1 in the max norm,
     g^dag F is the column gather w_j g^dag[:, r_j], and each form costs one
     product (g^dag F) g, taken in slices of ``_expm.slice_length`` matrices,
-    as many as fit in ``_expm._BLOCK_BYTES`` = 256 KiB (at least one). A
-    non-finite product reads inf.
+    as many as fit in ``_expm._BLOCK_BYTES`` = 256 KiB (at least one). With
+    ``relative``, each matrix's error is divided by its squared Frobenius
+    norm, one elementwise pass and at least ||g||_2^2, the scale of the
+    rounding in g^dag F g. A non-finite product reads inf.
     """
     g = g.reshape((-1,) + g.shape[-2:])
-    gathers = {name: _signed_permutation(F.T) for name, F in sampler.forms.items()}
     out = dict.fromkeys(sampler.forms, 0.0)
     step = slice_length(g)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(g), step):
             part = g[lo:lo + step]
             M, gt = real_form(part), np.swapaxes(part, -1, -2)
+            if relative:
+                flat = part.view(part.real.dtype)
+                squares = np.einsum("ijk,ijk->i", flat, flat)
             for name, F in sampler.forms.items():
-                r, w = gathers[name]
+                r, w = sampler.gathers[name]
                 left = np.conj(gt) if name == "hermitian" else gt
-                err = float(np.abs(times(left[..., r] * w, M) - F).max())
+                err = np.abs(times(left[..., r] * w, M) - F)
+                if relative:
+                    err /= squares[:, None, None]
+                err = float(err.max())
                 out[name] = max(out[name], math.inf if math.isnan(err) else err)
     return out
 

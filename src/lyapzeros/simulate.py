@@ -10,10 +10,12 @@ Margulis, Russian Math. Surveys 44 (1989); Guivarc'h & Raugi, Israel J.
 Math. 65 (1989)), so its only zero exponents are the forced ones.
 Exponents are estimated per trial by the QR (Benettin) scheme: the
 orthonormal frame is multiplied by blocks of ``renorm_interval`` steps
-and re-orthonormalized, accumulating log |diag R|. The table and the
-trials use independent, reproducible streams derived from master_seed
-via numpy's SeedSequence, so identical configurations give bit-identical
-results. The trials advance in lockstep, one stacked QR per block over
+and re-orthonormalized, accumulating log |diag R|. Unless the config sets
+it, the interval is derived from the run's table (``_derived_interval``),
+so it follows the law's growth rate and not the run's length. The table
+and the trials use independent, reproducible streams derived from
+master_seed via numpy's SeedSequence, so identical configurations give
+bit-identical results. The trials advance in lockstep, one stacked QR per block over
 all trials, without mixing their arithmetic; their sampling runs on up
 to two threads, which changes no trial's bits. BLAS thread settings are
 never touched.
@@ -39,14 +41,14 @@ from functools import partial
 
 import numpy as np
 
-from ._expm import real_form, times
+from ._expm import slice_length
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .matrices import step_table
 from .prediction import LyapunovVector, SpectrumPrediction
 from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
                         _check_coherent, _warn_size, exterior_power_matrix,
                         form_preservation_errors, lie_algebra_basis,
-                        sample_group_elements, standard_multiplicities)
+                        standard_multiplicities)
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
 # bytes that one sampling chunk of whole renorm blocks may hold
@@ -56,9 +58,16 @@ _CHUNK_BYTES = 2 ** 25
 # bytes of one renorm block above which a run warns before sampling: a chunk
 # holds at least one
 _CHUNK_MEMORY_LIMIT = 2 ** 30
+# B of the derived renorm interval floor(B / lambda_bar) (``_derived_interval``):
+# a block then spans at most about e^(2B) in the mean. Longer blocks round
+# off the bottom exponents, and with them exact zeros such as lambda_1 +
+# lambda_d of ext:k: at B = 20, su(5,1) ext:3 said "mismatch" at 5000 x 8
+_RENORM_BUDGET = 12.0
 # largest |sum of a trial's exponents| accepted. At the default scale and
-# renorm interval the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11 on
-# the acceptance pairs; SL(2,R) at scale 2, which lost precision, gave 0.05.
+# renorm interval 10 the largest sum measured was 5e-8 (so*(6) ext:3), 1e-11
+# on the acceptance pairs; at the derived intervals 4.2e-11 on the benchmark
+# pairs (120 seeds) and 1.1e-12 on the acceptance pairs. SL(2,R) at scale 2
+# and interval 10, which lost precision, gave 0.05.
 _SUM_RULE_TOL = 1e-4
 
 _SPIN_MESSAGE = "unsupported: spin representations are weight-combinatorics only"
@@ -67,13 +76,16 @@ _SPIN_MESSAGE = "unsupported: spin representations are weight-combinatorics only
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation parameters; defaults complete the su(2,1) suite in seconds.
-    Any pair that ``predict`` accepts simulates, except the (half-)spin ones."""
+    Any pair that ``predict`` accepts simulates, except the (half-)spin ones.
+    ``renorm_interval`` None, the default, takes the interval derived from
+    the run's table of steps; ``LyapunovResult.config`` holds the one used
+    first, so that rerunning it gives the same bits."""
 
     form: RealFormSpec
     rep: RepSpec = RepSpec.standard()
     steps: int = 100_000
     trials: int = 8
-    renorm_interval: int = 10
+    renorm_interval: int | None = None
     scale: float = 0.3
     master_seed: int = 42
     zero_threshold: float = 0.05
@@ -84,7 +96,7 @@ class SimConfig:
         _check_coherent(self.form, self.rep)
         if self.steps < 1 or self.trials < 1:
             raise ParameterError("steps and trials must be positive")
-        if not 1 <= self.renorm_interval <= 50:
+        if self.renorm_interval is not None and not 1 <= self.renorm_interval <= 50:
             raise ParameterError("renorm_interval must lie in 1..50")
         if not math.isfinite(self.scale) or self.scale < 0:
             raise ParameterError("scale must be finite and nonnegative")
@@ -175,7 +187,7 @@ class LyapunovResult:
     standard_exponents: tuple[float, ...]   # complex, of the simulated standard cocycle
     standard_stderr: tuple[float, ...]
     max_sample_form_error: float
-    max_block_form_error: float
+    max_block_form_error: float             # relative to each block's ||B||_F^2
     renorm_interval_used: int
     elapsed_seconds: float
     verdict: str | None = None
@@ -212,43 +224,86 @@ def _table_rng(master_seed: int) -> np.random.Generator:
 
 
 def _block_bytes(sampler: GroupSampler, interval: int, trials: int) -> int:
-    """Bytes that one renorm block of ``interval`` steps costs a chunk: the
-    index draws and gathered steps of each sampling thread, counted at the
-    thread cap min(2, trials) and not at the CPUs, so that chunk lengths do
-    not depend on the machine, plus every trial's folded block."""
+    """Bytes that one renorm block of ``interval`` steps costs a chunk: each
+    sampling thread's index draws, counted at the thread cap min(2, trials)
+    and not at the CPUs, so that chunk lengths do not depend on the machine,
+    plus every trial's folded block. A thread's fold holds at most five
+    slices of ``_expm.slice_length`` matrices on top, whatever the chunk
+    (``_fold_blocks``)."""
     matrix = sampler.matrix_dim ** 2 * sampler.dtype.itemsize
-    return interval * min(2, trials) * (8 + matrix) + trials * matrix
+    return min(2, trials) * 8 * interval + trials * matrix
 
 
-def _fold_blocks(G: np.ndarray, interval: int, out: np.ndarray) -> np.ndarray:
-    """Products over consecutive blocks of ``interval`` matrices of G,
+def _fold_blocks(table: np.ndarray, idx: np.ndarray, interval: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Products over consecutive blocks of ``interval`` steps table[idx],
     written to ``out`` (blocks, d, d), which is returned.
 
     The tail block may be shorter. Product order matches cocycle order:
-    the last matrix of a block is applied last, so the j-th step of every
-    block that has one multiplies its running product from the left.
+    the last step of a block is applied last, so the j-th step of every
+    block that has one multiplies its running product from the left. The
+    blocks are folded in slices of ``_expm.slice_length`` blocks, and the
+    steps of a slice gathered one step position at a time,
+    table[idx[j::interval]], so no stack of steps longer than a slice is
+    held. A slice's running products live in two buffers used in turn, in
+    ``_expm.real_form`` layout: each step's real GEMM, as in ``_expm.times``,
+    writes the first half of the next real form, B, and one multiply its
+    second, 1j * B, so no product is copied; the last step writes to
+    ``out``. The bits are those of ``times(step, real_form(B))``.
     """
-    out[...] = G[::interval]
-    for j in range(1, min(interval, len(G))):
-        step = G[j::interval]
-        out[:len(step)] = times(step, real_form(out[:len(step)]))
+    d = table.shape[-1]
+    width = min(slice_length(table), len(out))
+    held = np.empty((2, width) + ((d, 2, d) if np.iscomplexobj(table) else (d, d)),
+                    table.dtype)
+    for lo in range(0, len(out), width):
+        _fold_slice(table, idx[lo * interval:(lo + width) * interval], interval,
+                    out[lo:lo + width], held)
     return out
 
 
-def _max_form_error(sampler: GroupSampler, g: np.ndarray) -> float:
-    return max(form_preservation_errors(sampler, g).values(), default=0.0)
+def _fold_slice(table: np.ndarray, idx: np.ndarray, interval: int,
+                out: np.ndarray, held: np.ndarray) -> None:
+    """``_fold_blocks`` of one slice of at most len(held[0]) blocks, whose
+    running products take turns in held[0] and held[1]."""
+    steps, live = min(interval, len(idx)), len(out)
+    if steps == 1:
+        out[...] = table[idx]
+        return
+    cplx = np.iscomplexobj(held)
+    prods = held[..., 0, :] if cplx else held    # the running products B
+    prods[0, :live] = table[idx[::interval]]
+    for j in range(1, steps):
+        step, src = table[idx[j::interval]], held[(j - 1) % 2]
+        if len(step) < live:    # the tail block ended at step j - 1
+            out[len(step):live] = prods[(j - 1) % 2, len(step):live]
+            live = len(step)
+        M = src[:live]
+        if cplx:
+            np.multiply(M[:, :, 0], 1j, out=M[:, :, 1])
+            M = M.view(step.real.dtype).reshape(live, 2 * M.shape[1], -1)
+        dst = out[:live] if j == steps - 1 else prods[j % 2, :live]
+        np.matmul(step.view(M.dtype), M, out=dst.view(M.dtype))
+
+
+def _max_form_error(sampler: GroupSampler, g: np.ndarray, relative: bool = False) -> float:
+    return max(form_preservation_errors(sampler, g, relative).values(), default=0.0)
 
 
 def _sample_trial(sampler: GroupSampler, interval: int, count: int,
                   rng: np.random.Generator, out: np.ndarray) -> float:
     """One trial's chunk of ``count`` steps, folded into its blocks of
-    ``interval`` steps in ``out``: the blocks' max form error. A product
-    that leaves the floats raises _CocycleOverflow, without a warning."""
+    ``interval`` steps in ``out``: the blocks' max form error, each relative
+    to the block's squared Frobenius norm, which the rounding of a longer
+    block grows with. The steps are table rows of one index draw each, the
+    draws that ``sample_group_elements`` makes, folded straight from the
+    table. A product that leaves the floats raises _CocycleOverflow,
+    without a warning."""
+    idx = rng.integers(0, len(sampler.table), count)
     with np.errstate(over="ignore", invalid="ignore"):
-        _fold_blocks(sample_group_elements(sampler, rng, count), interval, out)
+        _fold_blocks(sampler.table, idx, interval, out)
     if not np.isfinite(out).all():
         raise _CocycleOverflow("block product overflow")
-    return _max_form_error(sampler, out)
+    return _max_form_error(sampler, out, relative=True)
 
 
 def _numpy_qr_kernels():
@@ -310,14 +365,17 @@ def _worker_count(trials: int) -> int:
 
 def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
                   rngs: list[np.random.Generator], rep=None):
-    """QR scheme for all trials at once, trial j drawing from ``rngs[j]``:
-    (per-trial exponents, max block form error).
+    """QR scheme for all trials at once, trial j drawing from ``rngs[j]``
+    the rows of ``sampler.table``, in renorm blocks of ``interval`` steps:
+    (per-trial exponents, max block form error relative to the squared
+    norm).
 
     The steps are sampled in chunks of as many whole renorm blocks as fit
     in ``_CHUNK_BYTES`` at ``_block_bytes`` each, and at least one. Each
-    step is a function of its own draw, so the chunk length bounds memory
-    and moves no bit. Each chunk, every trial samples, folds and checks its
-    own blocks (``_sample_trial``) into its column of a prefix of one
+    step is a function of its own index draw, so the chunk length bounds
+    memory and moves no bit. Each chunk, every trial draws its indices and
+    folds and checks its own blocks straight from the table
+    (``_sample_trial``) into its column of a prefix of one
     (blocks, trials, d, d) array, allocated once per call, on one of
     min(2, usable CPUs, trials) threads, which live for this call only;
     the blocks are then multiplied into the stacked frames
@@ -385,25 +443,47 @@ def _sum_rule_violation(per_trial: np.ndarray, interval: int) -> NumericalError 
     return None
 
 
-def _run_with_retry(config: SimConfig, rep=None):
-    """(per-trial exponents, max table and block form errors, renorm
-    interval used). The run's one table of steps (``matrices.step_table``)
-    comes from ``_table_rng`` and is form-checked once. A cocycle overflow
-    or a violated sum rule is retried once at half the renorm interval, on
-    the same table, since shorter blocks are better conditioned; a second
-    failure raises NumericalError. The sum rule holds for the first
-    matrix_dim columns and for the rest, if ``rep`` adds any. A chunk holds
-    at least one renorm block, so a run whose block at the configured
-    interval (``_block_bytes``) exceeds ``_CHUNK_MEMORY_LIMIT`` warns before
-    the table is built; the retry's half interval costs less."""
+def _derived_interval(table: np.ndarray, k: int | None = None) -> int:
+    """The renorm interval of a run on ``table`` that sets none:
+    clamp(floor(_RENORM_BUDGET / lambda_bar), 1, 50). lambda_bar is the
+    table's mean log ||g||_2 of the matrices the frames are multiplied by,
+    which bounds lambda_1 of the uniform law on the table from above
+    (subadditivity; Furstenberg & Kesten): log sigma_1(g), or for the direct
+    sum diag(g, Lambda^k g) of exterior_consistency_check max(log sigma_1,
+    sum_{i <= k} log sigma_i). Row m + i, F^-1 g_i^dag F for a signed
+    permutation F, has the singular values of g_i, so the first m rows
+    suffice. The interval depends on the table alone, not on the steps or
+    trials, so a shorter run stays a prefix of a longer one."""
+    logs = np.log(np.linalg.svd(table[:len(table) // 2], compute_uv=False))
+    top = logs[:, 0] if k is None else np.maximum(logs[:, 0], logs[:, :k].sum(axis=1))
+    lam = max(float(top.mean()), _RENORM_BUDGET / 50)   # a scale-0 table gives 0
+    return max(1, math.floor(_RENORM_BUDGET / lam))
+
+
+def _run_with_retry(config: SimConfig, k: int | None = None):
+    """(config with its renorm interval resolved, per-trial exponents, max
+    table and block form errors, renorm interval used). The run's one table
+    of steps (``matrices.step_table``) comes from ``_table_rng`` and is
+    form-checked once; a config without a renorm interval takes
+    ``_derived_interval`` of it. A cocycle overflow or a violated sum rule
+    is retried once at half the renorm interval, on the same table, since
+    shorter blocks are better conditioned; a second failure raises
+    NumericalError. With ``k``, the frames are multiplied by the direct
+    sums diag(B, Lambda^k B) of the blocks B, and the sum rule holds for
+    the first matrix_dim columns and for the rest. A chunk holds at least
+    one renorm block, so a run whose block (``_block_bytes``) exceeds
+    ``_CHUNK_MEMORY_LIMIT`` warns before sampling; the retry's half
+    interval costs less."""
     form, d = config.form, config.form.matrix_dim
-    sampler = lie_algebra_basis(form, config.scale)
+    sampler = step_table(lie_algebra_basis(form, config.scale), _table_rng(config.master_seed))
+    if config.renorm_interval is None:
+        config = replace(config, renorm_interval=_derived_interval(sampler.table, k))
     nbytes = _block_bytes(sampler, config.renorm_interval, config.trials)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} runs of {config.trials:,} trials take {nbytes:,} bytes per "
         f"renorm block of {config.renorm_interval} steps"))
-    sampler = step_table(sampler, _table_rng(config.master_seed))
     table_err = _max_form_error(sampler, sampler.table)
+    rep = None if k is None else partial(_direct_sum, k=k)
     for interval in (config.renorm_interval, config.renorm_interval // 2):
         if interval == 0:   # renorm_interval 1 has no half
             break
@@ -418,7 +498,7 @@ def _run_with_retry(config: SimConfig, rep=None):
         failure = (_sum_rule_violation(out[0][:, :d], interval)
                    or _sum_rule_violation(out[0][:, d:], interval))
         if failure is None:
-            return out[0], table_err, out[1], interval
+            return config, out[0], table_err, out[1], interval
     raise failure
 
 
@@ -474,7 +554,7 @@ def lyapunov_spectrum(config: SimConfig) -> LyapunovResult:
             "time, memory and output")
 
     t0 = time.perf_counter()
-    per_trial, sample_err, block_err, interval_used = _run_with_retry(config)
+    config, per_trial, sample_err, block_err, interval_used = _run_with_retry(config)
     std_means, std_stderr, _ = _aggregate(per_trial, config.trials)
     if rep.kind is RepKind.EXTERIOR:
         per_trial = _subset_sums(per_trial, rep.degree)
@@ -653,8 +733,7 @@ def exterior_consistency_check(config: SimConfig, k: int) -> ExteriorConsistency
         f"exterior-check on {config.form.label()} k={k} forms dense frames of "
         f"{entries:,} entries per trial"))
 
-    per_trial, sample_err, block_err, interval_used = _run_with_retry(
-        cfg, partial(_direct_sum, k=k))
+    _, per_trial, sample_err, block_err, interval_used = _run_with_retry(cfg, k)
     std = _aggregate(per_trial[:, :d], cfg.trials)[0]
     direct, direct_err, _ = _aggregate(per_trial[:, d:], cfg.trials)
     sums, sums_err, _ = _aggregate(_subset_sums(per_trial[:, :d], k), cfg.trials)

@@ -486,7 +486,9 @@ class TestExteriorCheckCommand:
         assert code == 0
         payload = rec["payload"]
         assert payload["matched"] is True
-        assert payload["renorm_interval_used"] == 10
+        table = matrices.step_table(matrices.lie_algebra_basis(su(2, 1)),
+                                    simulate._table_rng(42)).table
+        assert payload["renorm_interval_used"] == simulate._derived_interval(table, 2)
         assert 0 < payload["max_sample_form_error"] < 1e-10
         assert 0 < payload["max_block_form_error"] < 1e-8
         assert rec["schema_version"] == 1
@@ -546,8 +548,10 @@ def test_sum_rule_violation_is_rescued_at_half_interval(rep):
 
 
 def test_sum_rule_failure_exits_1():
+    # at renorm 10 and then 5; the interval derived from the table, 1, passes
     code, text = run_cli(["simulate", "--group", "sp", "--g", "1", "--scale", "5",
-                          "--steps", "2000", "--trials", "2", "--format", "json"])
+                          "--steps", "2000", "--trials", "2", "--renorm", "10",
+                          "--format", "json"])
     assert code == 1 and text == ""
 
 

@@ -28,24 +28,37 @@ def quick(form, rep=RepSpec.standard(), **kw):
     return SimConfig(form=form, rep=rep, **defaults)
 
 
-def chunk_steps(monkeypatch, form, trials, steps, interval=10):
+def table_sampler(form, seed=42):
+    """The sampler with the table that a run of ``form`` on ``seed`` builds."""
+    return lz.matrices.step_table(lz.lie_algebra_basis(form), lz.simulate._table_rng(seed))
+
+
+def derived(form, seed=42, k=None):
+    """The renorm interval that a run of ``form`` on ``seed`` derives from
+    its table (with ``k``, that of exterior_consistency_check)."""
+    return lz.simulate._derived_interval(table_sampler(form, seed).table, k)
+
+
+def chunk_steps(monkeypatch, form, trials, steps, interval=None):
     """Size the sampling chunks of ``trials`` trials of ``form`` at renorm
-    interval ``interval`` to ``steps`` steps, through their byte budget."""
+    interval ``interval`` (by default the one derived on seed 42) to
+    ``steps`` steps, through their byte budget."""
+    interval = interval or derived(form)
     per_block = _block_bytes(lz.lie_algebra_basis(form), interval, trials)
     monkeypatch.setattr(lz.simulate, "_CHUNK_BYTES", steps // interval * per_block)
 
 
 def fold(G, interval):
-    """_fold_blocks into a fresh array."""
+    """_fold_blocks of the stack G into a fresh array."""
     out = np.empty((-(-len(G) // interval),) + G.shape[1:], G.dtype)
-    return _fold_blocks(G, interval, out)
+    return _fold_blocks(G, np.arange(len(G)), interval, out)
 
 
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(form=su(2, 1))
         assert cfg.steps == 100_000 and cfg.trials == 8
-        assert cfg.renorm_interval == 10 and cfg.scale == 0.3
+        assert cfg.renorm_interval is None and cfg.scale == 0.3
         assert cfg.master_seed == 42 and cfg.zero_threshold == 0.05
 
     def test_spin_rejected(self):
@@ -153,7 +166,7 @@ class TestBlockMachinery:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("form", [sp(2), su(3, 1)], ids=lambda f: f.label())
-    @pytest.mark.parametrize("count", [28, 25], ids=["whole", "tail"])
+    @pytest.mark.parametrize("count", [28, 25, 22], ids=["whole", "tail", "tail-of-one"])
     def test_fold_blocks_bits_match_block_by_block(self, form, count):
         # each block folded on its own, one single-matrix product at a time
         sampler = lz.lie_algebra_basis(form)
@@ -165,6 +178,28 @@ class TestBlockMachinery:
             for g in G[lo + 1:lo + 7]:
                 B = times(g[None], real_form(B))
             assert same_bits(block, B[0])
+
+    @pytest.mark.parametrize("form", [sp(2), su(3, 1)], ids=lambda f: f.label())
+    def test_fold_slices_do_not_change_the_bits(self, form, monkeypatch):
+        # 64 steps in blocks of 7 fold in slices of 3, 3, 3 and 1 blocks;
+        # the last is a lone block of one step
+        sampler = lz.lie_algebra_basis(form)
+        G = lz.sample_group_elements(sampler, np.random.default_rng(4), 64)
+        whole = fold(G, 7)
+        monkeypatch.setattr(lz._expm, "_BLOCK_BYTES", 3 * G[0].nbytes)
+        assert same_bits(fold(G, 7), whole)
+
+    def test_block_form_error_is_relative_to_the_squared_norm(self):
+        # blocks of 50 table steps reach norms of about 1e3: each block's
+        # error g^dag H g - H is read against ||g||_F^2, which it scales with
+        sampler = table_sampler(su(2, 1))
+        idx = np.random.default_rng(5).integers(0, len(sampler.table), 2000)
+        blocks = fold(sampler.table[idx], 50)
+        absolute = [lz.simulate._max_form_error(sampler, B) for B in blocks]
+        squares = [np.linalg.norm(B) ** 2 for B in blocks]
+        relative = lz.simulate._max_form_error(sampler, blocks, relative=True)
+        assert relative == pytest.approx(max(np.divide(absolute, squares)), rel=1e-12)
+        assert max(squares) > 1e5 and max(absolute) > 1e3 * relative
 
 
 class TestLyapunovSpectrum:
@@ -274,8 +309,8 @@ class TestLyapunovSpectrum:
 
     def test_one_block_over_the_limit_warns_before_sampling(self, monkeypatch):
         # a chunk holds at least one renorm block: for su(30,30) at 20,000
-        # trials, 10 * 2 * (8 + 60^2 * 16) bytes of index draws and gathered
-        # steps and 20,000 * 60^2 * 16 of folded blocks, 1.15e9 in all
+        # trials, 2 * 10 * 8 bytes of index draws and 20,000 * 60^2 * 16 of
+        # folded blocks, 1.15e9
         class Sampled(Exception):
             pass
 
@@ -285,10 +320,10 @@ class TestLyapunovSpectrum:
         monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
         for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
             with pytest.warns(RuntimeWarning, match="su\\(30,30\\) runs of 20,000 trials "
-                                                    "take 1,153,152,160 bytes per renorm "
+                                                    "take 1,152,000,160 bytes per renorm "
                                                     "block of 10 steps") as record:
                 with pytest.raises(Sampled):
-                    run(SimConfig(form=su(30, 30), trials=20_000))
+                    run(SimConfig(form=su(30, 30), trials=20_000, renorm_interval=10))
             assert len(record) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,16 +337,17 @@ class TestLyapunovSpectrum:
         # per-chunk sums give the bits of a running sum over the blocks of
         # one unchunked sample per trial
         steps, warmup, interval, trials = 2995, 290, 10, 3
-        chunk_steps(monkeypatch, form, trials, 1000)
+        chunk_steps(monkeypatch, form, trials, 1000, interval)
         counts = []
-        real = lz.simulate.sample_group_elements
+        real_fold = lz.simulate._fold_blocks
 
-        def spy(sampler, rng, count):
-            counts.append(count)
-            return real(sampler, rng, count)
+        def spy(table, idx, interval, out):
+            counts.append(len(idx))
+            return real_fold(table, idx, interval, out)
 
-        monkeypatch.setattr(lz.simulate, "sample_group_elements", spy)
-        sampler = lz.lie_algebra_basis(form, 0.3)
+        monkeypatch.setattr(lz.simulate, "_fold_blocks", spy)
+        sampler = table_sampler(form)
+        real = lz.sample_group_elements
 
         def rngs():
             return [lz.simulate._trial_rng(7, j) for j in range(trials)]
@@ -353,7 +389,7 @@ class TestLyapunovSpectrum:
             return real(sampler, steps, warmup, interval, rngs, rep)
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", flaky)
-        res = lyapunov_spectrum(SimConfig(form=sp(1), steps=1000, trials=2))
+        res = lyapunov_spectrum(SimConfig(form=sp(1), steps=1000, trials=2, renorm_interval=10))
         assert res.renorm_interval_used == 5
         assert 10 in calls and 5 in calls
 
@@ -392,7 +428,8 @@ class TestLyapunovSpectrum:
         # estimates ran to (3.83, 0.11) at scale 5 and summed to 0.047 at
         # scale 2, where healthy runs sum to about 1e-15
         with pytest.raises(NumericalError, match="sum rule") as info:
-            lyapunov_spectrum(SimConfig(form=sp(1), steps=2000, trials=2, scale=scale))
+            lyapunov_spectrum(SimConfig(form=sp(1), steps=2000, trials=2, scale=scale,
+                                        renorm_interval=10))
         diag = info.value.diagnostics
         assert set(diag) == {"trial", "sum", "threshold", "renorm_interval"}
         assert diag["renorm_interval"] == 5     # the retry's half interval
@@ -408,7 +445,9 @@ class TestLyapunovSpectrum:
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", spy)
         res = lyapunov_spectrum(quick(su(3, 1), RepSpec.exterior(2), steps=3000, trials=2))
-        assert intervals == [10] and res.renorm_interval_used == 10
+        interval = derived(su(3, 1))
+        assert intervals == [interval] and res.renorm_interval_used == interval
+        assert res.config.renorm_interval == interval
 
     def test_healthy_sums_are_far_below_the_gate(self):
         res = lyapunov_spectrum(quick(su(5, 1), RepSpec.exterior(3), steps=5000, trials=2))
@@ -494,7 +533,7 @@ class TestQrStep:
             assert seen[0] == []
 
     def test_non_finite_block_ends_as_cocycle_overflow(self):
-        sampler = lz.lie_algebra_basis(su(3, 1))
+        sampler = table_sampler(su(3, 1))
         rngs = [lz.simulate._trial_rng(7, j) for j in range(3)]
 
         def poisoned(B):    # trial 1's blocks; rep also maps the starting identity
@@ -512,8 +551,8 @@ class TestQrStep:
                                         (su(3, 1), 2)], ids=label)
     def test_lockstep_bits_without_the_kernels(self, form, k, monkeypatch):
         # np.linalg.qr's path, the only one on numpy 1.x, gives the same bits
-        chunk_steps(monkeypatch, form, 3, 1000)   # two chunks
-        sampler = lz.lie_algebra_basis(form)
+        chunk_steps(monkeypatch, form, 3, 1000, 10)   # two chunks
+        sampler = table_sampler(form)
         rep = partial(lz.simulate._direct_sum, k=k) if k else None
         runs = []
         for kernels in (lz.simulate._QR_KERNELS, None):
@@ -620,7 +659,8 @@ class TestTrialThreads:
         assert threading.active_count() == baseline
         # a degenerate QR factor, a retry at half the interval, then the sum rule
         with pytest.raises(NumericalError, match="sum rule"):
-            lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2, scale=5.0))
+            lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2, scale=5.0,
+                                    renorm_interval=10))
         assert threading.active_count() == baseline
         assert pools == [2] * 5
 
@@ -707,11 +747,81 @@ class TestStepTable:
         assert same_bits(runs[0], runs[1])
 
 
+class TestDerivedInterval:
+    @pytest.mark.parametrize("form,k", [(su(2, 1), None), (sp(2), None), (so_split(5), None),
+                                        (su(3, 1), 2), (su(5, 1), 3), (so_star(3), 3)],
+                             ids=label)
+    def test_rule_reads_the_two_norms_of_the_table(self, form, k):
+        # clamp(floor(budget / mean log ||g||_2), 1, 50) over all 2m rows, with
+        # diag(g, Lambda^k g) for exterior_consistency_check: the inverses
+        # in rows m on change no norm
+        table = table_sampler(form, seed=3).table
+        matrices = table if k is None else lz.simulate._direct_sum(table, k)
+        lam = np.log(np.linalg.norm(matrices, 2, axis=(-2, -1))).mean()
+        want = min(50, max(1, int(lz.simulate._RENORM_BUDGET // lam)))
+        assert lz.simulate._derived_interval(table, k) == want
+        assert 1 < want < 50
+
+    def test_scale_zero_takes_the_longest_interval(self):
+        res = lyapunov_spectrum(SimConfig(form=sp(2), steps=100, trials=2, scale=0.0))
+        assert res.renorm_interval_used == 50
+
+    def test_large_steps_take_interval_one(self):
+        # sp(2,R) at scale 5 broke the sum rule at intervals 10 and 5
+        res = lyapunov_spectrum(SimConfig(form=sp(1), steps=2000, trials=2, scale=5.0))
+        assert res.renorm_interval_used == 1
+        assert abs(sum(res.trial_exponents[0])) < 1e-3 * lz.simulate._SUM_RULE_TOL
+
+    def test_explicit_interval_wins(self, monkeypatch):
+        def derived_too(*args):
+            raise AssertionError("an explicit interval was derived")
+
+        monkeypatch.setattr(lz.simulate, "_derived_interval", derived_too)
+        res = lyapunov_spectrum(quick(su(2, 1), steps=2000, trials=2, renorm_interval=7))
+        assert res.renorm_interval_used == 7 and res.config.renorm_interval == 7
+
+    @pytest.mark.parametrize("form", [su(3, 1), so_split(5)], ids=lambda f: f.label())
+    def test_interval_depends_on_the_table_alone(self, form):
+        want = derived(form)
+        for steps, trials in ((200, 2), (5000, 2), (200, 1), (200, 8)):
+            res = lyapunov_spectrum(quick(form, steps=steps, trials=trials))
+            assert res.renorm_interval_used == want, (steps, trials)
+            assert res.config.renorm_interval == want
+        chk = exterior_consistency_check(quick(form, steps=200, trials=2), 2)
+        assert chk.renorm_interval_used == derived(form, k=2)
+
+    @pytest.mark.parametrize("form", [su(2, 1), sp(2)], ids=lambda f: f.label())
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, form, monkeypatch):
+        # every block of a 3000-step run, and its |diag R|, is the block of a
+        # 6000-step run on the same seed, bit for bit: same table, interval
+        # and streams
+        real = lz.simulate._qr_step
+
+        def run(steps):
+            seen = []
+
+            def spy(B, Q, out):
+                Q = real(B, Q, out)
+                seen.append((B.copy(), out.copy()))
+                return Q
+
+            monkeypatch.setattr(lz.simulate, "_qr_step", spy)
+            res = lyapunov_spectrum(quick(form, steps=steps, trials=3))
+            return res.renorm_interval_used, seen
+
+        (r3, short), (r6, long) = run(3000), run(6000)
+        assert r3 == r6
+        whole = 3000 // r3   # a shorter tail block may follow
+        assert len(short) == -(-3000 // r3) and len(long) == -(-6000 // r6)
+        for (a, da), (b, db) in zip(short[:whole], long[:whole]):
+            assert same_bits(a, b) and same_bits(da, db)
+
+
 class TestChunkMemory:
     def test_peak_stays_within_two_chunk_budgets(self):
-        # su(8,8) at 6,000 steps x 2 trials samples three chunks of 2,560
-        # steps or fewer; one 6,000-step chunk would peak near 80 MB
-        peak = traced_peak(SimConfig(form=su(8, 8), steps=6000, trials=2))
+        # su(8,8) at 30,000 steps x 2 trials, at its derived interval 6,
+        # samples a chunk of 24,288 steps and one of the rest
+        peak = traced_peak(SimConfig(form=su(8, 8), steps=30_000, trials=2))
         assert peak <= 2 * lz.simulate._CHUNK_BYTES
 
     def test_several_chunks_peak_no_higher_than_one(self, monkeypatch):
@@ -850,7 +960,7 @@ class TestExteriorConsistency:
         monkeypatch.setattr(lz.simulate, "exterior_power_matrix", spy)
         cfg = quick(su(3, 1), steps=5000, trials=4)
         chk = exterior_consistency_check(cfg, 2)
-        assert sum(matrices) >= cfg.trials * cfg.steps // cfg.renorm_interval
+        assert sum(matrices) >= cfg.trials * cfg.steps // chk.renorm_interval_used
         assert chk.direct != chk.subset_sums
         assert chk.matched
         assert all(abs(s - d) <= t for s, d, t in
@@ -859,16 +969,16 @@ class TestExteriorConsistency:
     def test_samples_each_chunk_once(self, monkeypatch):
         # one run of g + Lambda^k g: the standard and compound summands share
         # every sample, so each trial draws each of its chunks once
-        chunk_steps(monkeypatch, su(3, 1), 3, 1000)
+        chunk_steps(monkeypatch, su(3, 1), 3, 1000, 10)
         calls = []
-        real = lz.simulate.sample_group_elements
+        real = lz.simulate._fold_blocks
 
-        def spy(sampler, rng, count):
-            calls.append(count)
-            return real(sampler, rng, count)
+        def spy(table, idx, interval, out):
+            calls.append(len(idx))
+            return real(table, idx, interval, out)
 
-        monkeypatch.setattr(lz.simulate, "sample_group_elements", spy)
-        cfg = quick(su(3, 1), steps=3000, trials=3)
+        monkeypatch.setattr(lz.simulate, "_fold_blocks", spy)
+        cfg = quick(su(3, 1), steps=3000, trials=3, renorm_interval=10)
         chk = exterior_consistency_check(cfg, 2)
         assert chk.matched
         assert calls == [1000] * (3 * 3)
@@ -932,7 +1042,8 @@ class TestExteriorConsistency:
             return real(sampler, steps, warmup, interval, rngs, rep)
 
         monkeypatch.setattr(lz.simulate, "_run_lockstep", flaky)
-        chk = exterior_consistency_check(quick(su(3, 1), steps=2000, trials=2), 2)
+        chk = exterior_consistency_check(quick(su(3, 1), steps=2000, trials=2,
+                                               renorm_interval=10), 2)
         assert intervals == [10, 5]
         assert chk.renorm_interval_used == 5 and chk.matched
         assert chk.as_record()["renorm_interval_used"] == 5

@@ -98,20 +98,23 @@ def _forms_up_to(d):
 @pytest.mark.parametrize("form", _forms_up_to(18), ids=lambda f: f.label())
 def test_verify_matches_up_to_dimension_18(form, seed):
     # the zero band of the larger forms sits under the 1e-12 floor only
-    # before the means are projected onto sum 0
+    # before the means are projected onto sum 0; no run is retried
     cfg = lz.SimConfig(form=form, steps=3000, trials=8, master_seed=seed)
     report = lz.verify_prediction(cfg, predict(form, RepSpec.standard()))
     assert report.verdict == "match", (form.label(), seed, report.details)
+    table = lz.matrices.step_table(lz.lie_algebra_basis(form), lz.simulate._table_rng(seed))
+    assert report.result.renorm_interval_used == lz.simulate._derived_interval(table.table)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("renorm,code", [("10", 1), ("1", 0)])
+@pytest.mark.parametrize("renorm,code", [("10", 1), ("1", 0), (None, 0)])
 def test_su_100_100_needs_renorm_1(renorm, code, capsys):
     # blocks of 10 and then 5 steps lose precision on su(100,100): the
-    # failure names the retry's interval, 5; blocks of one step pass
+    # failure names the retry's interval, 5; blocks of one step pass, and
+    # so does the interval derived from the table, 1
     buf = io.StringIO()
     argv = ["simulate", "--group", "su", "--p", "100", "--q", "100", "--steps", "20",
-            "--trials", "2", "--renorm", renorm, "--format", "json"]
+            "--trials", "2", "--format", "json"] + (["--renorm", renorm] if renorm else [])
     assert main(argv, out=buf) == code
     err = capsys.readouterr().err
     if code:
