@@ -13,7 +13,7 @@ from .realforms import (Family, RealFormSpec, restriction_map, so_split, so_star
 from .weights import (RepKind, RepSpec, Weight, WeightMultiset, binomial,
                       k_subsets)
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 # numpy-backed names and the modules they are read from on every access (PEP 562)
 _LAZY = {"matrices": "matrices", "simulate": "simulate",

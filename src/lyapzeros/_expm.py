@@ -26,7 +26,13 @@ steps (``matrices.step_table``).
 A complex product A @ B is computed as ``times(A, real_form(B))``, one
 real (d, 2d) @ (2d, 2d) GEMM per matrix, which numpy runs several times
 faster than its stacked complex matmul; a real stack goes through the
-same calls. A matrix's result depends only on itself, so it is
+same calls. The simulator's fold multiplies from the left by a fixed
+table instead: ``lift`` builds the table's real (2d, 2d) matrices once,
+and a product kept as real (2d, d) split rows (row 2j Re B_j, row 2j + 1
+Im B_j) takes one real GEMM per step, lift(A) @ split(B) = split(A @ B),
+with no per-step real form. Its real part sums the operands of
+``times`` in the same order; its imaginary part sums each (Re, Im) pair
+in the swapped order. A matrix's result depends only on itself, so it is
 bit-identical whatever stack or slice it is computed in.
 
 Overflow in the squaring phase is silent: it surfaces as non-finite
@@ -39,9 +45,8 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 
-# bytes of matrices that one slice of a sliced loop holds, here and in
-# matrices: 256 KiB stays in a core's L2 cache and is work enough per call
-# for two threads to overlap
+# bytes of matrices that one slice of a sliced loop holds, here, in
+# matrices and in the simulator's fold: 256 KiB stays in a core's L2 cache
 _BLOCK_BYTES = 2 ** 18
 
 
@@ -55,6 +60,22 @@ def real_form(B: np.ndarray) -> np.ndarray:
     M[..., 0, :] = B
     np.multiply(B, 1j, out=M[..., 1, :])
     return M.view(B.real.dtype).reshape(B.shape[:-2] + (2 * d, 2 * d))
+
+
+def lift(A: np.ndarray) -> np.ndarray:
+    """The real (..., 2d, 2d) matrices L with L @ split(B) equal to
+    split(A @ B), where split(B) is the real (2d, d) stack of rows Re B_j,
+    Im B_j: L[2k, 2j] = Re A_kj, L[2k, 2j + 1] = -Im A_kj, L[2k + 1, 2j] =
+    Im A_kj, L[2k + 1, 2j + 1] = Re A_kj. A real A is returned as is, and
+    split(B) = L[..., 0::2] for B = A."""
+    if not np.iscomplexobj(A):
+        return A
+    d = A.shape[-1]
+    L = np.empty(A.shape[:-2] + (d, 2, d, 2), A.real.dtype)
+    L[..., 0, :, 0] = L[..., 1, :, 1] = A.real
+    L[..., 0, :, 1] = -A.imag
+    L[..., 1, :, 0] = A.imag
+    return L.reshape(A.shape[:-2] + (2 * d, 2 * d))
 
 
 def times(A: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -15,10 +15,11 @@ it, the interval is derived from the run's table (``_derived_interval``),
 so it follows the law's growth rate and not the run's length. The table
 and the trials use independent, reproducible streams derived from
 master_seed via numpy's SeedSequence, so identical configurations give
-bit-identical results. The trials advance in lockstep, one stacked QR per block over
-all trials, without mixing their arithmetic; their sampling runs on up
-to two threads, which changes no trial's bits. BLAS thread settings are
-never touched.
+bit-identical results. The trials advance in lockstep on the calling
+thread, one stacked fold and one stacked QR per block over all trials,
+without mixing their arithmetic. The fold multiplies real split rows by
+the table's real lift (``_expm.lift``), one real GEMM per step, for real
+and complex forms alike. BLAS thread settings are never touched.
 A spectrum run simulates the standard cocycle only: the exponents of its
 k-th exterior power are the k-subset sums of the standard ones
 (multiplicative ergodic theorem for exterior powers), formed trial by
@@ -34,14 +35,13 @@ returning.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from ._expm import slice_length
+from ._expm import lift, slice_length
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .matrices import step_table
 from .prediction import LyapunovVector, SpectrumPrediction
@@ -224,86 +224,75 @@ def _table_rng(master_seed: int) -> np.random.Generator:
 
 
 def _block_bytes(sampler: GroupSampler, interval: int, trials: int) -> int:
-    """Bytes that one renorm block of ``interval`` steps costs a chunk: each
-    sampling thread's index draws, counted at the thread cap min(2, trials)
-    and not at the CPUs, so that chunk lengths do not depend on the machine,
-    plus every trial's folded block. A thread's fold holds at most five
-    slices of ``_expm.slice_length`` matrices on top, whatever the chunk
-    (``_fold_blocks``)."""
-    matrix = sampler.matrix_dim ** 2 * sampler.dtype.itemsize
-    return min(2, trials) * 8 * interval + trials * matrix
+    """Bytes that one renorm block of ``interval`` steps costs a chunk:
+    every trial's index draws and folded block. The fold holds at most four
+    slices of ``_expm.slice_length`` lifted steps on top, whatever the
+    chunk (``_fold_blocks``)."""
+    return trials * (8 * interval + sampler.matrix_dim ** 2 * sampler.dtype.itemsize)
 
 
 def _fold_blocks(table: np.ndarray, idx: np.ndarray, interval: int,
                  out: np.ndarray) -> np.ndarray:
-    """Products over consecutive blocks of ``interval`` steps table[idx],
-    written to ``out`` (blocks, d, d), which is returned.
+    """Products over consecutive blocks of ``interval`` steps of every
+    trial, written to ``out`` (blocks, trials, d, d), which is returned:
+    block b of trial t multiplies the steps idx[b * interval:(b + 1) *
+    interval, t] of the step table whose ``_expm.lift`` is ``table``.
 
     The tail block may be shorter. Product order matches cocycle order:
     the last step of a block is applied last, so the j-th step of every
     block that has one multiplies its running product from the left. The
-    blocks are folded in slices of ``_expm.slice_length`` blocks, and the
-    steps of a slice gathered one step position at a time,
-    table[idx[j::interval]], so no stack of steps longer than a slice is
-    held. A slice's running products live in two buffers used in turn, in
-    ``_expm.real_form`` layout: each step's real GEMM, as in ``_expm.times``,
-    writes the first half of the next real form, B, and one multiply its
-    second, 1j * B, so no product is copied; the last step writes to
-    ``out``. The bits are those of ``times(step, real_form(B))``.
+    (blocks, trials) stack is folded in slices of ``_expm.slice_length``
+    lifted steps, whole blocks of all trials where they fit and trials of
+    one block where they do not, and the steps of a slice are gathered
+    one step position at a time, table[idx[j::interval]], so no stack of
+    steps longer than a slice is held. A slice's running products are kept
+    as real split rows (``_expm.lift``) in two buffers used in turn: the
+    first step is the split rows of its lift's even columns, each further
+    step is one real GEMM into the other buffer, and each finished block is
+    written to ``out`` once. A real table, its own lift, goes through the
+    same calls.
     """
-    d = table.shape[-1]
-    width = min(slice_length(table), len(out))
-    held = np.empty((2, width) + ((d, 2, d) if np.iscomplexobj(table) else (d, d)),
-                    table.dtype)
-    for lo in range(0, len(out), width):
-        _fold_slice(table, idx[lo * interval:(lo + width) * interval], interval,
-                    out[lo:lo + width], held)
+    trials, d = idx.shape[1], out.shape[-1]
+    width = slice_length(table)
+    blocks, part = max(1, width // trials), min(trials, width)
+    held = np.empty((2, min(blocks, len(out)), part, table.shape[-1], d), table.dtype)
+    for lo in range(0, len(out), blocks):
+        for t in range(0, trials, part):
+            _fold_slice(table, idx[lo * interval:(lo + blocks) * interval, t:t + part],
+                        interval, out[lo:lo + blocks, t:t + part], held)
     return out
 
 
 def _fold_slice(table: np.ndarray, idx: np.ndarray, interval: int,
                 out: np.ndarray, held: np.ndarray) -> None:
-    """``_fold_blocks`` of one slice of at most len(held[0]) blocks, whose
-    running products take turns in held[0] and held[1]."""
-    steps, live = min(interval, len(idx)), len(out)
-    if steps == 1:
-        out[...] = table[idx]
-        return
-    cplx = np.iscomplexobj(held)
-    prods = held[..., 0, :] if cplx else held    # the running products B
-    prods[0, :live] = table[idx[::interval]]
+    """``_fold_blocks`` of one slice of at most held.shape[1] blocks of
+    held.shape[2] trials, whose running products take turns in held[0] and
+    held[1]."""
+    steps, (live, trials) = min(interval, len(idx)), out.shape[:2]
+    prods = held[:, :live, :trials]
+    # the first step's split rows: the even columns of its lift, or a real step
+    prods[0] = table[idx[::interval]][..., ::table.shape[-1] // out.shape[-1]]
     for j in range(1, steps):
-        step, src = table[idx[j::interval]], held[(j - 1) % 2]
+        step = table[idx[j::interval]]
         if len(step) < live:    # the tail block ended at step j - 1
-            out[len(step):live] = prods[(j - 1) % 2, len(step):live]
+            _write_split(out[len(step):live], prods[(j - 1) % 2, len(step):live])
             live = len(step)
-        M = src[:live]
-        if cplx:
-            np.multiply(M[:, :, 0], 1j, out=M[:, :, 1])
-            M = M.view(step.real.dtype).reshape(live, 2 * M.shape[1], -1)
-        dst = out[:live] if j == steps - 1 else prods[j % 2, :live]
-        np.matmul(step.view(M.dtype), M, out=dst.view(M.dtype))
+        np.matmul(step, prods[(j - 1) % 2, :live], out=prods[j % 2, :live])
+    _write_split(out[:live], prods[(steps - 1) % 2, :live])
+
+
+def _write_split(out: np.ndarray, P: np.ndarray) -> None:
+    """Write the split rows P (..., 2d, d) of complex matrices, or the real
+    matrices P, to ``out`` (..., d, d)."""
+    if np.iscomplexobj(out):
+        out.real = P[..., 0::2, :]
+        out.imag = P[..., 1::2, :]
+    else:
+        out[...] = P
 
 
 def _max_form_error(sampler: GroupSampler, g: np.ndarray, relative: bool = False) -> float:
     return max(form_preservation_errors(sampler, g, relative).values(), default=0.0)
-
-
-def _sample_trial(sampler: GroupSampler, interval: int, count: int,
-                  rng: np.random.Generator, out: np.ndarray) -> float:
-    """One trial's chunk of ``count`` steps, folded into its blocks of
-    ``interval`` steps in ``out``: the blocks' max form error, each relative
-    to the block's squared Frobenius norm, which the rounding of a longer
-    block grows with. The steps are table rows of one index draw each, the
-    draws that ``sample_group_elements`` makes, folded straight from the
-    table. A product that leaves the floats raises _CocycleOverflow,
-    without a warning."""
-    idx = rng.integers(0, len(sampler.table), count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _fold_blocks(sampler.table, idx, interval, out)
-    if not np.isfinite(out).all():
-        raise _CocycleOverflow("block product overflow")
-    return _max_form_error(sampler, out, relative=True)
 
 
 def _numpy_qr_kernels():
@@ -354,38 +343,29 @@ def _qr_step(B: np.ndarray, Q: np.ndarray, out: np.ndarray) -> np.ndarray:
     return reduced(A, tau)
 
 
-def _worker_count(trials: int) -> int:
-    """Trial threads of a run: min(2, usable CPUs, trials)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus, trials)
-
-
 def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
                   rngs: list[np.random.Generator], rep=None):
-    """QR scheme for all trials at once, trial j drawing from ``rngs[j]``
-    the rows of ``sampler.table``, in renorm blocks of ``interval`` steps:
-    (per-trial exponents, max block form error relative to the squared
-    norm).
+    """QR scheme for all trials at once, on the calling thread, trial j
+    drawing from ``rngs[j]`` the rows of ``sampler.table``, in renorm
+    blocks of ``interval`` steps: (per-trial exponents, max block form
+    error relative to the squared norm).
 
-    The steps are sampled in chunks of as many whole renorm blocks as fit
-    in ``_CHUNK_BYTES`` at ``_block_bytes`` each, and at least one. Each
-    step is a function of its own index draw, so the chunk length bounds
-    memory and moves no bit. Each chunk, every trial draws its indices and
-    folds and checks its own blocks straight from the table
-    (``_sample_trial``) into its column of a prefix of one
-    (blocks, trials, d, d) array, allocated once per call, on one of
-    min(2, usable CPUs, trials) threads, which live for this call only;
-    the blocks are then multiplied into the stacked frames
+    The table is lifted once per call (``_expm.lift``). The steps are
+    sampled in chunks of as many whole renorm blocks as fit in
+    ``_CHUNK_BYTES`` at ``_block_bytes`` each, and at least one. Each step
+    is a function of its own index draw, so the chunk length bounds memory
+    and moves no bit. Each chunk, every trial draws its indices,
+    rng.integers(0, 2m, count), into its column of one (count, trials)
+    array; one stacked fold (``_fold_blocks``) writes every trial's blocks
+    into a prefix of one (blocks, trials, d, d) array, and one finiteness
+    check and one relative form check read them. Both arrays are allocated
+    once per call. The blocks are then multiplied into the stacked frames
     (trials, d, d) with one stacked QR per block (``_qr_step``). The logs
     of |diag R|, their finiteness check and their accumulation run once
-    per chunk.
-    Trial j's result depends neither on the other trials nor on the thread
-    count, and errors surface in trial order. ``rep``, if given, maps each
-    stacked block to the matrices the frames are multiplied by instead (the
-    direct sums g + Lambda^k g of exterior_consistency_check).
+    per chunk. Trial j's result does not depend on the other trials.
+    ``rep``, if given, maps each stacked block to the matrices the frames
+    are multiplied by instead (the direct sums g + Lambda^k g of
+    exterior_consistency_check).
     """
     rep = rep or (lambda B: B)
     d, trials = sampler.matrix_dim, len(rngs)
@@ -393,39 +373,34 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     Q = np.broadcast_to(eye, (trials,) + eye.shape)
     acc = np.zeros(Q.shape[:-1])
     max_block_err = 0.0
+    table = lift(sampler.table)
     chunk = max(1, _CHUNK_BYTES // _block_bytes(sampler, interval, trials)) * interval
-    held = np.empty((-(-min(chunk, steps) // interval), trials, d, d), sampler.dtype)
+    draws = np.empty((min(chunk, steps), trials), np.intp)
+    held = np.empty((-(-len(draws) // interval), trials, d, d), sampler.dtype)
     # row i + 1 takes |diag R| of a chunk's block i, and row 0 the sum so far
     logs = np.empty((len(held) + 1,) + acc.shape)
-    workers = _worker_count(trials)
-    pool = None
-    if workers > 1:
-        # imported here, so that callers that never simulate (predict,
-        # classify) do not pay for importing it and logging
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers)
-    try:
-        for lo in range(0, steps, chunk):
-            count = min(chunk, steps - lo)
-            blocks = held[:-(-count // interval)]
-            trial = partial(_sample_trial, sampler, interval, count)
-            errs = (pool.map if pool else map)(trial, rngs, np.swapaxes(blocks, 0, 1))
-            max_block_err = max(max_block_err, *errs)
-            nblocks = len(blocks)
-            for i, B in enumerate(blocks):    # one block of every trial
-                Q = _qr_step(rep(B), Q, logs[i + 1])
-            # the warmup blocks are dropped (lo and warmup are multiples of
-            # interval), and the row before the first block kept takes acc
-            rows = logs[min(nblocks, max(0, (warmup - lo) // interval)):nblocks + 1]
-            with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
-                np.log(rows[1:], out=rows[1:])
-            if not np.isfinite(rows[1:]).all():
-                raise _CocycleOverflow("degenerate QR factor")
-            rows[0] = acc
-            acc = np.add.reduce(rows, axis=0)   # block by block, as a running sum
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for lo in range(0, steps, chunk):
+        count = min(chunk, steps - lo)
+        idx, blocks = draws[:count], held[:-(-count // interval)]
+        for j, rng in enumerate(rngs):
+            idx[:, j] = rng.integers(0, len(table), count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fold_blocks(table, idx, interval, blocks)
+        if not np.isfinite(blocks).all():
+            raise _CocycleOverflow("block product overflow")
+        max_block_err = max(max_block_err, _max_form_error(sampler, blocks, relative=True))
+        nblocks = len(blocks)
+        for i, B in enumerate(blocks):    # one block of every trial
+            Q = _qr_step(rep(B), Q, logs[i + 1])
+        # the warmup blocks are dropped (lo and warmup are multiples of
+        # interval), and the row before the first block kept takes acc
+        rows = logs[min(nblocks, max(0, (warmup - lo) // interval)):nblocks + 1]
+        with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
+            np.log(rows[1:], out=rows[1:])
+        if not np.isfinite(rows[1:]).all():
+            raise _CocycleOverflow("degenerate QR factor")
+        rows[0] = acc
+        acc = np.add.reduce(rows, axis=0)   # block by block, as a running sum
     return acc / (steps - warmup), max_block_err
 
 

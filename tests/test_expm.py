@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lyapzeros import _expm, lie_algebra_basis, so_split, so_star, sp, su
-from lyapzeros._expm import cayley_in_place, real_form, times
+from lyapzeros._expm import cayley_in_place, lift, real_form, times
 from lyapzeros.errors import NumericalError, ParameterError
 from lyapzeros.realforms import form_preservation_errors
 
@@ -67,6 +67,30 @@ def test_real_form_product_matches_matmul(d, batch):
     R, S = A.real.copy(), B.real.copy()
     assert real_form(S) is S
     assert np.array_equal(times(R, real_form(S)), R @ S)
+
+
+def _split(B):
+    """The real split rows of complex B (..., d, d): row 2j Re B_j, row
+    2j + 1 Im B_j."""
+    d = B.shape[-1]
+    return np.stack([B.real, B.imag], axis=-2).reshape(B.shape[:-2] + (2 * d, d))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("batch", [(7,), (5, 3)], ids=["n", "blocks,trials"])
+def test_lift_multiplies_split_rows(d, batch):
+    # lift(T) @ split(P) = split(T @ P); the first step of a fold is the
+    # split rows of its lift's even columns, exactly
+    rng = np.random.default_rng(d)
+    T = _complex_stack(rng, batch + (d, d))
+    P = _complex_stack(rng, batch + (d, d))
+    L = lift(T)
+    assert L.shape == batch + (2 * d, 2 * d) and L.dtype == np.float64
+    got, want = L @ _split(P), _split(T @ P)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.array_equal(L[..., 0::2], _split(T))
+    R = T.real.copy()
+    assert lift(R) is R
 
 
 def test_rejects_bad_input():

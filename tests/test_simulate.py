@@ -2,7 +2,6 @@ import concurrent.futures
 import dataclasses
 import json
 import os
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -18,7 +17,7 @@ from lyapzeros import (NumericalError, ParameterError, RepSpec, SimConfig,
                        estimate_lyapunov_vector, exterior_consistency_check,
                        lyapunov_spectrum, predict, so_split, so_star, sp, su,
                        verify_prediction)
-from lyapzeros._expm import real_form, times
+from lyapzeros._expm import lift, real_form, times
 from lyapzeros.simulate import _SPIN_MESSAGE, _block_bytes, _fold_blocks
 
 
@@ -49,9 +48,16 @@ def chunk_steps(monkeypatch, form, trials, steps, interval=None):
 
 
 def fold(G, interval):
-    """_fold_blocks of the stack G into a fresh array."""
-    out = np.empty((-(-len(G) // interval),) + G.shape[1:], G.dtype)
-    return _fold_blocks(G, np.arange(len(G)), interval, out)
+    """_fold_blocks of the stack G, as the steps of one trial, into a fresh
+    array."""
+    out = np.empty((-(-len(G) // interval), 1) + G.shape[1:], G.dtype)
+    return _fold_blocks(lift(G), np.arange(len(G))[:, None], interval, out)[:, 0]
+
+
+def unsplit(P):
+    """The complex matrices whose split rows (row 2j Re B_j, row 2j + 1 Im
+    B_j) are P (..., 2d, d)."""
+    return np.stack([P[..., 0::2, :], P[..., 1::2, :]], axis=-1).view(complex)[..., 0]
 
 
 class TestSimConfig:
@@ -168,26 +174,42 @@ class TestBlockMachinery:
     @pytest.mark.parametrize("form", [sp(2), su(3, 1)], ids=lambda f: f.label())
     @pytest.mark.parametrize("count", [28, 25, 22], ids=["whole", "tail", "tail-of-one"])
     def test_fold_blocks_bits_match_block_by_block(self, form, count):
-        # each block folded on its own, one single-matrix product at a time
+        # each block folded on its own, one single-matrix product at a time:
+        # a complex block as lifted steps on its split rows, and a real one
+        # by 0.7.0's product, whose bits the real fold keeps
         sampler = lz.lie_algebra_basis(form)
         G = lz.sample_group_elements(sampler, np.random.default_rng(3), count)
         got = fold(G, 7)
         assert len(got) == 4
         for block, lo in zip(got, range(0, count, 7)):
-            B = G[lo:lo + 1]
-            for g in G[lo + 1:lo + 7]:
-                B = times(g[None], real_form(B))
-            assert same_bits(block, B[0])
+            if np.iscomplexobj(G):
+                P = lift(G[lo])[:, 0::2]
+                for g in G[lo + 1:lo + 7]:
+                    P = lift(g) @ P
+                want = unsplit(P)
+            else:
+                B = G[lo:lo + 1]
+                for g in G[lo + 1:lo + 7]:
+                    B = times(g[None], real_form(B))
+                want = B[0]
+            assert same_bits(block, want)
 
     @pytest.mark.parametrize("form", [sp(2), su(3, 1)], ids=lambda f: f.label())
     def test_fold_slices_do_not_change_the_bits(self, form, monkeypatch):
-        # 64 steps in blocks of 7 fold in slices of 3, 3, 3 and 1 blocks;
-        # the last is a lone block of one step
+        # slices of 3 lifted steps: one trial's 64 steps in blocks of 7 fold
+        # in slices of 3, 3, 3 and 1 blocks, the last a lone block of one
+        # step; five trials fold block by block, in slices of 3 and 2 trials
         sampler = lz.lie_algebra_basis(form)
-        G = lz.sample_group_elements(sampler, np.random.default_rng(4), 64)
-        whole = fold(G, 7)
-        monkeypatch.setattr(lz._expm, "_BLOCK_BYTES", 3 * G[0].nbytes)
-        assert same_bits(fold(G, 7), whole)
+        G = lz.sample_group_elements(sampler, np.random.default_rng(4), 5 * 64)
+        idx = np.arange(len(G)).reshape(64, 5)
+        alone = [fold(G[idx[:, t]], 7) for t in range(5)]
+        stacked = np.empty((10, 5) + G.shape[1:], G.dtype)
+        whole = _fold_blocks(lift(G), idx, 7, stacked.copy())
+        monkeypatch.setattr(lz._expm, "_BLOCK_BYTES", 3 * lift(G[0]).nbytes)
+        assert same_bits(fold(G[idx[:, 0]], 7), alone[0])
+        assert same_bits(_fold_blocks(lift(G), idx, 7, stacked), whole)
+        for t in range(5):
+            assert same_bits(whole[:, t], alone[t])
 
     def test_block_form_error_is_relative_to_the_squared_norm(self):
         # blocks of 50 table steps reach norms of about 1e3: each block's
@@ -309,8 +331,8 @@ class TestLyapunovSpectrum:
 
     def test_one_block_over_the_limit_warns_before_sampling(self, monkeypatch):
         # a chunk holds at least one renorm block: for su(30,30) at 20,000
-        # trials, 2 * 10 * 8 bytes of index draws and 20,000 * 60^2 * 16 of
-        # folded blocks, 1.15e9
+        # trials, 20,000 * 10 * 8 bytes of index draws and 20,000 * 60^2 * 16
+        # of folded blocks, 1.15e9
         class Sampled(Exception):
             pass
 
@@ -320,7 +342,7 @@ class TestLyapunovSpectrum:
         monkeypatch.setattr(lz.simulate, "_run_lockstep", sampled)
         for run in (lyapunov_spectrum, lambda cfg: exterior_consistency_check(cfg, 1)):
             with pytest.warns(RuntimeWarning, match="su\\(30,30\\) runs of 20,000 trials "
-                                                    "take 1,152,000,160 bytes per renorm "
+                                                    "take 1,153,600,000 bytes per renorm "
                                                     "block of 10 steps") as record:
                 with pytest.raises(Sampled):
                     run(SimConfig(form=su(30, 30), trials=20_000, renorm_interval=10))
@@ -335,14 +357,15 @@ class TestLyapunovSpectrum:
     def test_chunked_accumulation_adds_block_by_block(self, form, monkeypatch):
         # three chunks, a warmup of 29 blocks and a 5-step tail block: the
         # per-chunk sums give the bits of a running sum over the blocks of
-        # one unchunked sample per trial
+        # one unchunked sample per trial. Each chunk folds the draws of all
+        # trials at once
         steps, warmup, interval, trials = 2995, 290, 10, 3
         chunk_steps(monkeypatch, form, trials, 1000, interval)
-        counts = []
+        shapes = []
         real_fold = lz.simulate._fold_blocks
 
         def spy(table, idx, interval, out):
-            counts.append(len(idx))
+            shapes.append(idx.shape)
             return real_fold(table, idx, interval, out)
 
         monkeypatch.setattr(lz.simulate, "_fold_blocks", spy)
@@ -353,7 +376,7 @@ class TestLyapunovSpectrum:
             return [lz.simulate._trial_rng(7, j) for j in range(trials)]
 
         got = lz.simulate._run_lockstep(sampler, steps, warmup, interval, rngs())[0]
-        assert sorted(counts) == [995] * trials + [1000] * (2 * trials)
+        assert shapes == [(1000, trials), (1000, trials), (995, trials)]
         Q = np.eye(form.matrix_dim, dtype=sampler.dtype)
         acc = np.zeros((trials, form.matrix_dim))
         blocks = np.stack([fold(real(sampler, rng, steps), interval) for rng in rngs()],
@@ -570,16 +593,13 @@ def usable_cpus(monkeypatch, count):
 
 class TestTrialThreads:
     @pytest.fixture
-    def pools(self, monkeypatch):
-        made = []
-        real = concurrent.futures.ThreadPoolExecutor
+    def no_threads(self, monkeypatch):
+        """Refuse every thread pool and Python thread that a run would start."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a run started a thread")
 
-        def counting(workers):
-            made.append(workers)
-            return real(workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
-        return made
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(threading.Thread, "start", refused)
 
     @staticmethod
     def bits(result):
@@ -588,71 +608,53 @@ class TestTrialThreads:
         return np.array(result.trial_exponents), record
 
     @pytest.mark.parametrize("form", [su(3, 1), sp(2)], ids=lambda f: f.label())
-    def test_thread_count_does_not_change_the_bits(self, form, monkeypatch, pools):
+    def test_thread_count_does_not_change_the_bits(self, form, monkeypatch, no_threads):
         chunk_steps(monkeypatch, form, 3, 1000)   # three chunks
         runs = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             runs.append(self.bits(lyapunov_spectrum(quick(form, steps=3000, trials=3))))
-        assert pools == [2]
-        (serial, serial_record), (threaded, threaded_record) = runs
-        assert np.array_equal(serial, threaded)
-        assert serial_record == threaded_record
+        (serial, serial_record), (two, two_record) = runs
+        assert np.array_equal(serial, two)
+        assert serial_record == two_record
 
-    def test_threads_write_their_own_trials_of_the_shared_blocks(self, monkeypatch):
-        # every trial folds into its column of one chunk array; eight threads
-        # switching every microsecond must give the serial run's bits
+    def test_stacked_trials_keep_their_own_bits(self, monkeypatch):
+        # every trial folds into its column of one chunk array: slices of
+        # three lifted steps split each block's eight trials 3, 3, 2 and
+        # must give the bits of slices of whole blocks
         chunk_steps(monkeypatch, su(3, 1), 8, 1000)
         cfg = quick(su(3, 1), steps=3000, trials=8)
-        usable_cpus(monkeypatch, 1)
-        serial = self.bits(lyapunov_spectrum(cfg))
-        monkeypatch.setattr(lz.simulate, "_worker_count", lambda trials: trials)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = self.bits(lyapunov_spectrum(cfg))
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(serial[0], threaded[0])
-        assert serial[1] == threaded[1]
+        whole = self.bits(lyapunov_spectrum(cfg))
+        monkeypatch.setattr(lz._expm, "_BLOCK_BYTES", 3 * 8 ** 2 * 8)
+        split = self.bits(lyapunov_spectrum(cfg))
+        assert np.array_equal(whole[0], split[0])
+        assert whole[1] == split[1]
 
-    def test_thread_count_does_not_change_the_direct_sum_run(self, monkeypatch, pools):
+    def test_thread_count_does_not_change_the_direct_sum_run(self, monkeypatch, no_threads):
         records = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             chk = exterior_consistency_check(quick(su(3, 1), steps=3000, trials=3), 2)
             records.append(chk.as_record())
-        assert pools == [2]
         assert records[0] == records[1]
 
-    def test_one_cpu_runs_without_a_pool(self, monkeypatch):
-        def refused(workers):
-            raise AssertionError("a one-CPU run created a thread pool")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+    def test_one_cpu_runs_without_a_pool(self, monkeypatch, no_threads):
         usable_cpus(monkeypatch, 1)
         res = lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2))
         assert res.zero_cluster.status == "ok"
 
-    @pytest.mark.parametrize("cpu_count,workers", [(None, 1), (1, 1), (8, 2)])
-    def test_cpu_count_without_affinity(self, cpu_count, workers, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert lz.simulate._worker_count(8) == workers
-        assert lz.simulate._worker_count(1) == 1
-
-    def test_no_thread_outlives_a_run(self, monkeypatch, pools):
+    def test_no_thread_outlives_a_run(self, monkeypatch, no_threads):
         usable_cpus(monkeypatch, 2)
         baseline = threading.active_count()
         lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2))
         assert threading.active_count() == baseline
-        # an element overflows while the table is built, before any thread
-        # starts (test_overflow_reported's data)
+        # an element overflows while the table is built
+        # (test_overflow_reported's data)
         with pytest.raises(NumericalError, match="overflowed"):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=2,
                                         scale=700.0, renorm_interval=1))
         assert threading.active_count() == baseline
-        # a block product overflows in a worker, at interval 20 and at 10
+        # a block product overflows in the fold, at interval 20 and at 10
         with pytest.raises(NumericalError, match="cocycle overflow"):
             lyapunov_spectrum(SimConfig(form=sp(1), steps=200, trials=2,
                                         scale=100.0, renorm_interval=20))
@@ -662,7 +664,6 @@ class TestTrialThreads:
             lyapunov_spectrum(quick(su(3, 1), steps=2000, trials=2, scale=5.0,
                                     renorm_interval=10))
         assert threading.active_count() == baseline
-        assert pools == [2] * 5
 
 
 def traced_peak(config):
@@ -825,12 +826,10 @@ class TestChunkMemory:
         assert peak <= 2 * lz.simulate._CHUNK_BYTES
 
     def test_several_chunks_peak_no_higher_than_one(self, monkeypatch):
-        # the block array, 600 KB here, is held once per run, and each chunk
-        # fills a prefix of it. Only the trials' frames, which a one-chunk
-        # run has not formed while it samples, and a few KB of small
-        # objects come on top. One CPU samples the trials one by one, so the
-        # peaks do not hang on thread timing.
-        usable_cpus(monkeypatch, 1)
+        # the block array, 600 KB here, and the draw array are held once per
+        # run, and each chunk fills a prefix of them. Only the trials'
+        # frames, which a one-chunk run has not formed while it samples, and
+        # a few KB of small objects come on top.
         form, trials = su(4, 4), 12
         chunk_steps(monkeypatch, form, trials, 500)
         one, several = (traced_peak(quick(form, steps=steps, trials=trials))
@@ -968,20 +967,20 @@ class TestExteriorConsistency:
 
     def test_samples_each_chunk_once(self, monkeypatch):
         # one run of g + Lambda^k g: the standard and compound summands share
-        # every sample, so each trial draws each of its chunks once
+        # every sample, so each chunk's draws of all trials fold once
         chunk_steps(monkeypatch, su(3, 1), 3, 1000, 10)
         calls = []
         real = lz.simulate._fold_blocks
 
         def spy(table, idx, interval, out):
-            calls.append(len(idx))
+            calls.append(idx.shape)
             return real(table, idx, interval, out)
 
         monkeypatch.setattr(lz.simulate, "_fold_blocks", spy)
         cfg = quick(su(3, 1), steps=3000, trials=3, renorm_interval=10)
         chk = exterior_consistency_check(cfg, 2)
         assert chk.matched
-        assert calls == [1000] * (3 * 3)
+        assert calls == [(1000, 3)] * 3
 
     def test_large_check_warns_before_sampling(self, monkeypatch):
         # su(6,6) k=6 forms dense frames of (12 + C(12,6))^2 = 876,096 entries;
