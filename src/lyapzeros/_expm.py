@@ -21,7 +21,8 @@ that still need it round by round, each matrix s times in all, and writes
 the result over the slice. ``cayley_in_place`` steps its argument in
 place; the sampler calls it on its own X, so its steps are held in one
 buffer. A run calls it once, on the few hundred draws of its table of
-steps (``matrices.step_table``).
+steps (``matrices.step_table``). The same budget sizes every other sliced
+loop, there and in the simulator's chunks (``simulate._run_lockstep``).
 
 A complex product A @ B is computed as ``times(A, real_form(B))``, one
 real (d, 2d) @ (2d, 2d) GEMM per matrix, which numpy runs several times
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 
 # bytes of matrices that one slice of a sliced loop holds, here, in
-# matrices and in the simulator's fold: 256 KiB stays in a core's L2 cache
+# matrices and in the simulator: 256 KiB stays in a core's L2 cache
 _BLOCK_BYTES = 2 ** 18
 
 

@@ -280,28 +280,32 @@ def form_preservation_errors(sampler: GroupSampler, g: np.ndarray,
     hermitian: ||g^dag H g - H|| / ||H||; bilinear forms use g^T. Every form
     is a signed permutation, F[r_j, j] = w_j, so ||F|| = 1 in the max norm,
     g^dag F is the column gather w_j g^dag[:, r_j], and each form costs one
-    product (g^dag F) g, taken in slices of ``_expm.slice_length`` matrices,
-    as many as fit in ``_expm._BLOCK_BYTES`` = 256 KiB (at least one). With
+    product (g^dag F) g. Slices of a third of ``_expm.slice_length``
+    matrices for a complex g and half for a real one (at least one) keep
+    what a slice allocates (real form, g^dag F, product) within 4/3 of
+    ``_expm._BLOCK_BYTES`` = 256 KiB: at twice that, glibc's malloc gave it
+    back after each of the simulator's chunks and faulted it in again. With
     ``relative``, each matrix's error is divided by its squared Frobenius
     norm, one elementwise pass and at least ||g||_2^2, the scale of the
     rounding in g^dag F g. A non-finite product reads inf.
     """
     g = g.reshape((-1,) + g.shape[-2:])
-    out = dict.fromkeys(sampler.forms, 0.0)
-    step = slice_length(g)
+    gt, out = g.swapaxes(-1, -2), dict.fromkeys(sampler.forms, 0.0)
+    if relative:
+        flat = g.view(g.real.dtype)
+        squares = np.einsum("ijk,ijk->i", flat, flat)[:, None, None]
+    step = max(1, slice_length(g) // (3 if np.iscomplexobj(g) else 2))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(g), step):
-            part = g[lo:lo + step]
-            M, gt = real_form(part), np.swapaxes(part, -1, -2)
-            if relative:
-                flat = part.view(part.real.dtype)
-                squares = np.einsum("ijk,ijk->i", flat, flat)
+            M = real_form(g[lo:lo + step])
             for name, F in sampler.forms.items():
                 r, w = sampler.gathers[name]
-                left = np.conj(gt) if name == "hermitian" else gt
-                err = np.abs(times(left[..., r] * w, M) - F)
+                prod = gt[lo:lo + step, :, r] * w   # g^dag F, conjugated if hermitian
+                prod = times(np.conj(prod, out=prod) if name == "hermitian" else prod, M)
+                prod -= F
+                err = np.abs(prod)
                 if relative:
-                    err /= squares[:, None, None]
+                    err /= squares[lo:lo + step]
                 err = float(err.max())
                 out[name] = max(out[name], math.inf if math.isnan(err) else err)
     return out

@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from ._expm import lift, slice_length
+from . import _expm
 from .errors import NumericalError, ParameterError, UnsupportedFeatureError
 from .matrices import step_table
 from .prediction import LyapunovVector, SpectrumPrediction
@@ -51,10 +51,6 @@ from .realforms import (EXTERIOR_WEIGHT_LIMIT, GroupSampler, RealFormSpec,
                         standard_multiplicities)
 from .weights import RepKind, RepSpec, binomial, k_subsets
 
-# bytes that one sampling chunk of whole renorm blocks may hold
-# (``_block_bytes``), as ``_expm._BLOCK_BYTES`` sizes slices; bounds memory,
-# not bits
-_CHUNK_BYTES = 2 ** 25
 # bytes of one renorm block above which a run warns before sampling: a chunk
 # holds at least one
 _CHUNK_MEMORY_LIMIT = 2 ** 30
@@ -223,16 +219,15 @@ def _table_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
 
 
-def _block_bytes(sampler: GroupSampler, interval: int, trials: int) -> int:
-    """Bytes that one renorm block of ``interval`` steps costs a chunk:
-    every trial's index draws and folded block. The fold holds at most four
-    slices of ``_expm.slice_length`` lifted steps on top, whatever the
-    chunk (``_fold_blocks``)."""
-    return trials * (8 * interval + sampler.matrix_dim ** 2 * sampler.dtype.itemsize)
+def _fold_buffers(table: np.ndarray, trials: int, d: int, blocks: int) -> np.ndarray:
+    """The two buffers of ``_fold_blocks`` for ``blocks`` blocks of ``trials`` trials."""
+    width = _expm.slice_length(table)
+    return np.empty((2, min(max(1, width // trials), blocks), min(trials, width),
+                     table.shape[-1], d), table.dtype)
 
 
 def _fold_blocks(table: np.ndarray, idx: np.ndarray, interval: int,
-                 out: np.ndarray) -> np.ndarray:
+                 out: np.ndarray, buffers: np.ndarray | None = None) -> np.ndarray:
     """Products over consecutive blocks of ``interval`` steps of every
     trial, written to ``out`` (blocks, trials, d, d), which is returned:
     block b of trial t multiplies the steps idx[b * interval:(b + 1) *
@@ -243,50 +238,44 @@ def _fold_blocks(table: np.ndarray, idx: np.ndarray, interval: int,
     block that has one multiplies its running product from the left. The
     (blocks, trials) stack is folded in slices of ``_expm.slice_length``
     lifted steps, whole blocks of all trials where they fit and trials of
-    one block where they do not, and the steps of a slice are gathered
-    one step position at a time, table[idx[j::interval]], so no stack of
-    steps longer than a slice is held. A slice's running products are kept
-    as real split rows (``_expm.lift``) in two buffers used in turn: the
+    one block where they do not, and the steps of a slice are gathered one
+    step position at a time, table[idx[j::interval]]. A slice's running
+    products, real split rows (``_expm.lift``), take turns in two buffers
+    (``buffers``, which a run allocates once, or ``_fold_buffers``): the
     first step is the split rows of its lift's even columns, each further
     step is one real GEMM into the other buffer, and each finished block is
     written to ``out`` once. A real table, its own lift, goes through the
     same calls.
     """
-    trials, d = idx.shape[1], out.shape[-1]
-    width = slice_length(table)
-    blocks, part = max(1, width // trials), min(trials, width)
-    held = np.empty((2, min(blocks, len(out)), part, table.shape[-1], d), table.dtype)
+    if buffers is None:
+        buffers = _fold_buffers(table, idx.shape[1], out.shape[-1], len(out))
+    blocks, part = buffers.shape[1:3]
+    first = table[..., ::table.shape[-1] // out.shape[-1]]   # split rows, or a real step
     for lo in range(0, len(out), blocks):
-        for t in range(0, trials, part):
-            _fold_slice(table, idx[lo * interval:(lo + blocks) * interval, t:t + part],
-                        interval, out[lo:lo + blocks, t:t + part], held)
+        for t in range(0, idx.shape[1], part):
+            steps = idx[lo * interval:(lo + blocks) * interval, t:t + part]
+            dst = out[lo:lo + blocks, t:t + part]
+            live = len(dst)
+            P, next_P = buffers[:, :live, :dst.shape[1]]
+            P[...] = first[steps[::interval]]
+            for j in range(1, min(interval, len(steps))):
+                rows = steps[j::interval]
+                if len(rows) < live:    # the tail block ended at step j - 1
+                    _write_split(dst[len(rows):live], P[len(rows):])
+                    live = len(rows)
+                    P, next_P = P[:live], next_P[:live]
+                # unnamed, so one slice of gathered steps is held at a time
+                np.matmul(table[rows], P, out=next_P)
+                P, next_P = next_P, P
+            _write_split(dst[:live], P)
     return out
-
-
-def _fold_slice(table: np.ndarray, idx: np.ndarray, interval: int,
-                out: np.ndarray, held: np.ndarray) -> None:
-    """``_fold_blocks`` of one slice of at most held.shape[1] blocks of
-    held.shape[2] trials, whose running products take turns in held[0] and
-    held[1]."""
-    steps, (live, trials) = min(interval, len(idx)), out.shape[:2]
-    prods = held[:, :live, :trials]
-    # the first step's split rows: the even columns of its lift, or a real step
-    prods[0] = table[idx[::interval]][..., ::table.shape[-1] // out.shape[-1]]
-    for j in range(1, steps):
-        step = table[idx[j::interval]]
-        if len(step) < live:    # the tail block ended at step j - 1
-            _write_split(out[len(step):live], prods[(j - 1) % 2, len(step):live])
-            live = len(step)
-        np.matmul(step, prods[(j - 1) % 2, :live], out=prods[j % 2, :live])
-    _write_split(out[:live], prods[(steps - 1) % 2, :live])
 
 
 def _write_split(out: np.ndarray, P: np.ndarray) -> None:
     """Write the split rows P (..., 2d, d) of complex matrices, or the real
     matrices P, to ``out`` (..., d, d)."""
     if np.iscomplexobj(out):
-        out.real = P[..., 0::2, :]
-        out.imag = P[..., 1::2, :]
+        out.real, out.imag = P[..., 0::2, :], P[..., 1::2, :]
     else:
         out[...] = P
 
@@ -335,11 +324,11 @@ def _qr_step(B: np.ndarray, Q: np.ndarray, out: np.ndarray) -> np.ndarray:
     A = B @ Q
     if _QR_KERNELS is None:
         Q, R = np.linalg.qr(A)
-        np.abs(np.diagonal(R, axis1=-2, axis2=-1), out=out)
+        np.abs(R.diagonal(0, -2, -1), out=out)
         return Q
     factor, reduced = _QR_KERNELS
     tau = factor(A)
-    np.abs(np.diagonal(A, axis1=-2, axis2=-1), out=out)
+    np.abs(A.diagonal(0, -2, -1), out=out)
     return reduced(A, tau)
 
 
@@ -350,57 +339,60 @@ def _run_lockstep(sampler: GroupSampler, steps: int, warmup: int, interval: int,
     blocks of ``interval`` steps: (per-trial exponents, max block form
     error relative to the squared norm).
 
-    The table is lifted once per call (``_expm.lift``). The steps are
-    sampled in chunks of as many whole renorm blocks as fit in
-    ``_CHUNK_BYTES`` at ``_block_bytes`` each, and at least one. Each step
-    is a function of its own index draw, so the chunk length bounds memory
-    and moves no bit. Each chunk, every trial draws its indices,
-    rng.integers(0, 2m, count), into its column of one (count, trials)
-    array; one stacked fold (``_fold_blocks``) writes every trial's blocks
-    into a prefix of one (blocks, trials, d, d) array, and one finiteness
-    check and one relative form check read them. Both arrays are allocated
-    once per call. The blocks are then multiplied into the stacked frames
-    (trials, d, d) with one stacked QR per block (``_qr_step``). The logs
-    of |diag R|, their finiteness check and their accumulation run once
-    per chunk. Trial j's result does not depend on the other trials.
+    The table is lifted once per call (``_expm.lift``). A chunk holds as
+    many whole renorm blocks as fit in ``_expm._BLOCK_BYTES``, read when
+    the run starts, counting a block's (trials, d, d) matrices or its index
+    draws, whichever take more, and at least one; each trial draws the
+    indices of as many whole chunks at once as fit in it, rng.integers(0,
+    2m, count), into its column of one (count, trials) array. Each step is
+    a function of its own index draw, so neither length moves a bit. Each
+    chunk is folded (``_fold_blocks``) into a prefix of one (blocks,
+    trials, d, d) array, form-checked (a non-finite block reads inf, and
+    only then is the chunk scanned for one) and multiplied into the frames
+    (trials, d, d), one stacked QR per block (``_qr_step``), whose logs of
+    |diag R| are then summed. All arrays are allocated once per call, so a
+    run holds a few budgets whatever its length; a non-finite sum is
+    refused at the end. Trial j's result does not depend on the others.
     ``rep``, if given, maps each stacked block to the matrices the frames
-    are multiplied by instead (the direct sums g + Lambda^k g of
-    exterior_consistency_check).
+    are multiplied by (g + Lambda^k g of exterior_consistency_check).
     """
-    rep = rep or (lambda B: B)
     d, trials = sampler.matrix_dim, len(rngs)
-    eye = rep(np.eye(d, dtype=sampler.dtype))
+    eye = np.eye(d, dtype=sampler.dtype) if rep is None else rep(np.eye(d, dtype=sampler.dtype))
     Q = np.broadcast_to(eye, (trials,) + eye.shape)
-    acc = np.zeros(Q.shape[:-1])
-    max_block_err = 0.0
-    table = lift(sampler.table)
-    chunk = max(1, _CHUNK_BYTES // _block_bytes(sampler, interval, trials)) * interval
-    draws = np.empty((min(chunk, steps), trials), np.intp)
-    held = np.empty((-(-len(draws) // interval), trials, d, d), sampler.dtype)
+    acc, max_block_err = np.zeros(Q.shape[:-1]), 0.0
+    table = _expm.lift(sampler.table)
+    per_block = trials * max(8 * interval, d * d * sampler.dtype.itemsize)
+    chunk = max(1, _expm._BLOCK_BYTES // per_block) * interval
+    batch = max(1, _expm._BLOCK_BYTES // (8 * trials * chunk)) * chunk
+    draws = np.empty((batch, trials), np.intp)
+    held = np.empty((-(-min(chunk, steps) // interval), trials, d, d), sampler.dtype)
+    fold = _fold_buffers(table, trials, d, len(held))
     # row i + 1 takes |diag R| of a chunk's block i, and row 0 the sum so far
     logs = np.empty((len(held) + 1,) + acc.shape)
-    for lo in range(0, steps, chunk):
-        count = min(chunk, steps - lo)
-        idx, blocks = draws[:count], held[:-(-count // interval)]
-        for j, rng in enumerate(rngs):
-            idx[:, j] = rng.integers(0, len(table), count)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _fold_blocks(table, idx, interval, blocks)
-        if not np.isfinite(blocks).all():
-            raise _CocycleOverflow("block product overflow")
-        max_block_err = max(max_block_err, _max_form_error(sampler, blocks, relative=True))
-        nblocks = len(blocks)
-        for i, B in enumerate(blocks):    # one block of every trial
-            Q = _qr_step(rep(B), Q, logs[i + 1])
-        # the warmup blocks are dropped (lo and warmup are multiples of
-        # interval), and the row before the first block kept takes acc
-        rows = logs[min(nblocks, max(0, (warmup - lo) // interval)):nblocks + 1]
-        with np.errstate(divide="ignore"):   # log 0 reads -inf, refused just below
+    # an overflow in the fold or a log of 0 reads non-finite, and is refused
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, steps, chunk):
+            if lo % batch == 0:
+                count = min(batch, steps - lo)
+                for j, rng in enumerate(rngs):
+                    draws[:count, j] = rng.integers(0, len(table), count)
+            idx = draws[lo % batch:][:min(chunk, steps - lo)]
+            blocks = held[:-(-len(idx) // interval)]
+            _fold_blocks(table, idx, interval, blocks, fold)
+            err = _max_form_error(sampler, blocks, relative=True)
+            if not math.isfinite(err) and not np.isfinite(blocks).all():
+                raise _CocycleOverflow("block product overflow")
+            max_block_err = max(max_block_err, err)
+            for i, B in enumerate(blocks):    # one block of every trial
+                Q = _qr_step(B if rep is None else rep(B), Q, logs[i + 1])
+            # the warmup blocks are dropped (lo and warmup are multiples of
+            # interval), and the row before the first block kept takes acc
+            rows = logs[min(len(blocks), max(0, (warmup - lo) // interval)):len(blocks) + 1]
             np.log(rows[1:], out=rows[1:])
-        if not np.isfinite(rows[1:]).all():
-            raise _CocycleOverflow("degenerate QR factor")
-        rows[0] = acc
-        acc = np.add.reduce(rows, axis=0)   # block by block, as a running sum
+            rows[0] = acc
+            acc = np.add.reduce(rows, axis=0)   # block by block, as a running sum
+    if not np.isfinite(acc).all():
+        raise _CocycleOverflow("degenerate QR factor")
     return acc / (steps - warmup), max_block_err
 
 
@@ -427,9 +419,12 @@ def _derived_interval(table: np.ndarray, k: int | None = None) -> int:
     sum diag(g, Lambda^k g) of exterior_consistency_check max(log sigma_1,
     sum_{i <= k} log sigma_i). Row m + i, F^-1 g_i^dag F for a signed
     permutation F, has the singular values of g_i, so the first m rows
-    suffice. The interval depends on the table alone, not on the steps or
-    trials, so a shorter run stays a prefix of a longer one."""
-    logs = np.log(np.linalg.svd(table[:len(table) // 2], compute_uv=False))
+    suffice; sigma_i^2 are the eigenvalues of g^dag g. The interval depends
+    on the table alone, not on the steps or trials, so a shorter run stays a
+    prefix of a longer one."""
+    g = table[:len(table) // 2]
+    squares = np.linalg.eigvalsh(np.conj(np.swapaxes(g, -1, -2)) @ g)[:, ::-1]
+    logs = np.log(np.maximum(squares, np.finfo(float).tiny)) / 2   # no log of a rounded 0
     top = logs[:, 0] if k is None else np.maximum(logs[:, 0], logs[:, :k].sum(axis=1))
     lam = max(float(top.mean()), _RENORM_BUDGET / 50)   # a scale-0 table gives 0
     return max(1, math.floor(_RENORM_BUDGET / lam))
@@ -446,14 +441,14 @@ def _run_with_retry(config: SimConfig, k: int | None = None):
     NumericalError. With ``k``, the frames are multiplied by the direct
     sums diag(B, Lambda^k B) of the blocks B, and the sum rule holds for
     the first matrix_dim columns and for the rest. A chunk holds at least
-    one renorm block, so a run whose block (``_block_bytes``) exceeds
-    ``_CHUNK_MEMORY_LIMIT`` warns before sampling; the retry's half
-    interval costs less."""
+    one renorm block, so a run whose block (every trial's index draws and
+    folded block) exceeds ``_CHUNK_MEMORY_LIMIT`` warns before sampling;
+    the retry's half interval costs less."""
     form, d = config.form, config.form.matrix_dim
     sampler = step_table(lie_algebra_basis(form, config.scale), _table_rng(config.master_seed))
     if config.renorm_interval is None:
         config = replace(config, renorm_interval=_derived_interval(sampler.table, k))
-    nbytes = _block_bytes(sampler, config.renorm_interval, config.trials)
+    nbytes = config.trials * (8 * config.renorm_interval + d * d * sampler.dtype.itemsize)
     _warn_size(nbytes, _CHUNK_MEMORY_LIMIT, lambda: (
         f"{form.label()} runs of {config.trials:,} trials take {nbytes:,} bytes per "
         f"renorm block of {config.renorm_interval} steps"))

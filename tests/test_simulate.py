@@ -18,7 +18,7 @@ from lyapzeros import (NumericalError, ParameterError, RepSpec, SimConfig,
                        lyapunov_spectrum, predict, so_split, so_star, sp, su,
                        verify_prediction)
 from lyapzeros._expm import lift, real_form, times
-from lyapzeros.simulate import _SPIN_MESSAGE, _block_bytes, _fold_blocks
+from lyapzeros.simulate import _SPIN_MESSAGE, _fold_blocks
 
 
 def quick(form, rep=RepSpec.standard(), **kw):
@@ -41,10 +41,12 @@ def derived(form, seed=42, k=None):
 def chunk_steps(monkeypatch, form, trials, steps, interval=None):
     """Size the sampling chunks of ``trials`` trials of ``form`` at renorm
     interval ``interval`` (by default the one derived on seed 42) to
-    ``steps`` steps, through their byte budget."""
+    ``steps`` steps, through the byte budget that a run reads when it
+    starts (``_expm._BLOCK_BYTES``, which also sizes its slices)."""
     interval = interval or derived(form)
-    per_block = _block_bytes(lz.lie_algebra_basis(form), interval, trials)
-    monkeypatch.setattr(lz.simulate, "_CHUNK_BYTES", steps // interval * per_block)
+    sampler = lz.lie_algebra_basis(form)
+    per_block = trials * max(8 * interval, sampler.matrix_dim ** 2 * sampler.dtype.itemsize)
+    monkeypatch.setattr(lz._expm, "_BLOCK_BYTES", steps // interval * per_block)
 
 
 def fold(G, interval):
@@ -364,9 +366,9 @@ class TestLyapunovSpectrum:
         shapes = []
         real_fold = lz.simulate._fold_blocks
 
-        def spy(table, idx, interval, out):
+        def spy(table, idx, interval, out, buffers=None):
             shapes.append(idx.shape)
-            return real_fold(table, idx, interval, out)
+            return real_fold(table, idx, interval, out, buffers)
 
         monkeypatch.setattr(lz.simulate, "_fold_blocks", spy)
         sampler = table_sampler(form)
@@ -819,17 +821,31 @@ class TestDerivedInterval:
 
 
 class TestChunkMemory:
-    def test_peak_stays_within_two_chunk_budgets(self):
+    def test_peak_stays_within_the_lifted_table_and_a_few_budgets(self):
         # su(8,8) at 30,000 steps x 2 trials, at its derived interval 6,
-        # samples a chunk of 24,288 steps and one of the rest
-        peak = traced_peak(SimConfig(form=su(8, 8), steps=30_000, trials=2))
-        assert peak <= 2 * lz.simulate._CHUNK_BYTES
+        # folds 5,000 blocks in 157 chunks of 32 (2^18 bytes). Its table
+        # (2 MiB) and lift (4 MiB) are held all run; the draw batch, the
+        # block array, the fold's buffers, a slice of gathered steps and the
+        # form check's slices stay within a few budgets on top
+        form = su(8, 8)
+        table = table_sampler(form).table
+        peak = traced_peak(SimConfig(form=form, steps=30_000, trials=2))
+        assert peak <= table.nbytes + lift(table).nbytes + 8 * lz._expm._BLOCK_BYTES
+
+    def test_peak_does_not_grow_with_the_steps(self):
+        # every array that a run holds is sized by the byte budget, not by
+        # the steps: ten times the steps, 70 chunks of 288 steps for 7,
+        # may cost a few small objects more
+        form, trials = su(4, 4), 8
+        short, long = (traced_peak(quick(form, steps=steps, trials=trials))
+                       for steps in (2000, 20_000))
+        assert long - short < 2 ** 15
 
     def test_several_chunks_peak_no_higher_than_one(self, monkeypatch):
-        # the block array, 600 KB here, and the draw array are held once per
-        # run, and each chunk fills a prefix of them. Only the trials'
-        # frames, which a one-chunk run has not formed while it samples, and
-        # a few KB of small objects come on top.
+        # the block array, 680 KB here, the draw batch and the fold's
+        # buffers are held once per run, and each chunk fills a prefix of
+        # them. Only the trials' frames, which a one-chunk run has not
+        # formed while it samples, and a few KB of small objects come on top.
         form, trials = su(4, 4), 12
         chunk_steps(monkeypatch, form, trials, 500)
         one, several = (traced_peak(quick(form, steps=steps, trials=trials))
@@ -972,9 +988,9 @@ class TestExteriorConsistency:
         calls = []
         real = lz.simulate._fold_blocks
 
-        def spy(table, idx, interval, out):
+        def spy(table, idx, interval, out, buffers=None):
             calls.append(idx.shape)
-            return real(table, idx, interval, out)
+            return real(table, idx, interval, out, buffers)
 
         monkeypatch.setattr(lz.simulate, "_fold_blocks", spy)
         cfg = quick(su(3, 1), steps=3000, trials=3, renorm_interval=10)
